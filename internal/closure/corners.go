@@ -9,8 +9,8 @@ import (
 // Multi-corner closure: when Options.Core.Corners names N>=2 corners, the
 // calibrator hands the flow one fitted mGBA view per corner. The flow
 // keeps every extra corner's view advanced in lockstep with the selection
-// corner's (in-place Update for resizes, fresh runs across session
-// rebuilds), schedules repairs against the merged worst-corner slack, and
+// corner's (in-place Update for resizes, fresh runs on structural trial
+// sessions), schedules repairs against the merged worst-corner slack, and
 // vetoes any transform that regresses a corner's WNS — a move is only
 // accepted when no corner gets worse, so closing the selection corner
 // never reopens another.
@@ -57,24 +57,7 @@ func (f *flow) releaseCorners() {
 	f.cviews = nil
 }
 
-// refreshCorners re-times every corner on the flow's current session
-// under the current weights — the corner half of refresh(), used across
-// the session rebuilds that drop the calibrator (buffer trials).
-func (f *flow) refreshCorners(weights []float64) {
-	if len(f.cviews) == 0 {
-		return
-	}
-	views := make([]*cornerView, 0, len(f.cviews))
-	for _, cv := range f.cviews {
-		// The old view belongs to the superseded session; just drop it.
-		cfg := cv.cfg
-		cfg.Weights = weights
-		views = append(views, &cornerView{name: cv.name, cfg: cv.cfg, r: f.sess.Run(cfg)})
-	}
-	f.cviews = views
-}
-
-// runCornersOn times every corner on a trial session (structural moves),
+// runCornersOn times every corner on a session under the given weights,
 // without touching the flow's own views.
 func (f *flow) runCornersOn(sess *engine.Session, weights []float64) []*sta.Result {
 	if len(f.cviews) == 0 {

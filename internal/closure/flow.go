@@ -30,9 +30,10 @@ const (
 )
 
 // flow carries the mutable optimization state. The timing session is
-// rebuilt only on connectivity changes (buffer insertion, retiming); the
-// thousands of resize trials in between run through Result.Update against
-// the same session, allocating nothing.
+// rebuilt only for connectivity-changing trials (buffer insertion,
+// retiming), derived from the current one so the clock state carries
+// over; the thousands of resize trials in between run through
+// Result.Update against the same session, allocating nothing.
 type flow struct {
 	d   *netlist.Design
 	opt Options
@@ -49,14 +50,12 @@ type flow struct {
 	weights []float64 // nil for GBA
 
 	// cal is the persistent mGBA calibrator; nil until the first
-	// calibration and reset whenever the session is rebuilt for a move
-	// the calibration cache cannot absorb (buffer insertion). calStale
-	// marks the calibrator as bound to a superseded session after an
-	// instance-preserving structural move (retiming); the next calibrate
-	// rebinds it instead of discarding it. dirty accumulates the
-	// instances whose timing changed through accepted transforms since
-	// the last calibration — the seed set for the calibrator's
-	// incremental re-enumeration.
+	// calibration. calStale marks it as bound to a superseded session
+	// after an accepted structural move (buffer insertion, retiming); the
+	// next calibrate rebinds it instead of discarding it. dirty
+	// accumulates the instances whose timing changed through accepted
+	// transforms since the last calibration — the seed set for the
+	// calibrator's incremental re-enumeration.
 	cal      *core.Calibrator
 	calStale bool
 	dirty    map[int]bool
@@ -208,11 +207,20 @@ func run(ctx context.Context, d *netlist.Design, opt Options, st *ckptState,
 	// checkpointed weights instead of recalibrating, preserving the
 	// calibration cadence of the original run.
 	if st != nil && f.opt.Timer == TimerMGBA && f.weights != nil {
-		if err := f.refresh(); err != nil {
+		v, err := f.buildView()
+		if err != nil {
 			return nil, err
 		}
-	} else if err := f.rebuild(); err != nil {
-		return nil, err
+		f.adopt(v)
+	} else {
+		g, err := graph.Build(f.d)
+		if err != nil {
+			return nil, err
+		}
+		f.g, f.sess = g, engine.NewSession(g)
+		if err := f.calibrate(); err != nil {
+			return nil, err
+		}
 	}
 
 	for ph < phaseDone && !f.stopped() {
@@ -309,33 +317,26 @@ func run(ctx context.Context, d *netlist.Design, opt Options, st *ckptState,
 	return f.res, nil
 }
 
-// rebuild reconstructs the timing graph and session (needed after
-// connectivity edits) and re-times the design, recalibrating mGBA weights
-// when applicable.
-func (f *flow) rebuild() error {
-	g, err := graph.Build(f.d)
-	if err != nil {
-		return err
-	}
-	f.g = g
-	f.sess = engine.NewSession(g)
-	f.cal, f.calStale, f.dirty = nil, false, nil // new session: the old calibrator's cache is stale
-	return f.calibrate()
+// view is one timed state of the design: its timing graph, a session on
+// it, and the flow's timing views on that session.
+type view struct {
+	g       *graph.Graph
+	sess    *engine.Session
+	r       *sta.Result
+	corners []*sta.Result // one per live extra corner
 }
 
-// refresh rebuilds the graph and session and re-times with the *existing*
-// mGBA weights (padded with 1.0 for instances created since the last
-// calibration). The buffer-insertion trial loop uses it: a full
-// recalibration per candidate buffer would dwarf the cost of the
-// transform being evaluated.
-func (f *flow) refresh() error {
+// buildView builds the timing graph of the current design and a session
+// on it — derived from the flow's current session, whose clock state it
+// inherits when the design's clock network is unchanged — and times it
+// under the flow's current weights, padded with 1 for instances created
+// since the last calibration.
+func (f *flow) buildView() (*view, error) {
 	g, err := graph.Build(f.d)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	f.g = g
-	f.sess = engine.NewSession(g)
-	f.cal, f.calStale, f.dirty = nil, false, nil // new session: the old calibrator's cache is stale
+	sess := engine.DeriveSession(f.sess, g)
 	cfg := f.opt.STA
 	if f.opt.Timer == TimerMGBA && f.weights != nil {
 		for len(f.weights) < len(f.d.Instances) {
@@ -343,9 +344,18 @@ func (f *flow) refresh() error {
 		}
 		cfg.Weights = f.weights
 	}
-	f.retire(f.sess.Run(cfg))
-	f.refreshCorners(cfg.Weights)
-	return nil
+	return &view{g: g, sess: sess, r: sess.Run(cfg), corners: f.runCornersOn(sess, cfg.Weights)}, nil
+}
+
+// adopt makes v the flow's current view, returning the superseded views'
+// buffers to their session pool.
+func (f *flow) adopt(v *view) {
+	f.retire(v.r)
+	for i, cv := range f.cviews {
+		cv.r.Release()
+		cv.r = v.corners[i]
+	}
+	f.g, f.sess = v.g, v.sess
 }
 
 // calibrate refreshes the mGBA weights (or simply re-analyzes under GBA),
@@ -554,15 +564,12 @@ func (f *flow) repairEndpoint(fi int) (bool, error) {
 }
 
 // tryCandidate applies one candidate, arbitrates acceptance, and unwinds
-// rejections, dispatching on the transform's capability bits:
+// rejections, dispatching on the transform's capability bit:
 //
 //   - connectivity-preserving (upsize, downsize): advance the Result in
 //     place over the move's dirty set — the cheap path;
-//   - connectivity-changing without a dirty set (buffer): rebuild the
-//     session around the trial and leave the next calibration cold;
-//   - connectivity-changing with a dirty set (retime): time the trial on
-//     a fresh session, and on acceptance adopt it, mark the calibrator
-//     for rebinding, and widen the dirty set with the graph-state diff.
+//   - connectivity-changing (buffer, retime): time the trial on a rebuilt
+//     session (tryStructural).
 func (f *flow) tryCandidate(tr transform.Transform, fi int, c transform.Candidate) (bool, error) {
 	a := f.analysis()
 	before := f.snap(fi)
@@ -592,90 +599,43 @@ func (f *flow) tryCandidate(tr transform.Transform, fi int, c transform.Candidat
 		}
 		return false, nil
 	}
-	if mv.DirtySet() == nil {
-		return f.tryCold(tr, fi, mv, before)
-	}
 	return f.tryStructural(tr, fi, mv, before)
 }
 
-// tryCold is the trial protocol for connectivity-changing moves without a
-// dirty set (buffer insertion): rebuild the session around the trial —
-// dropping the calibrator, so the next mGBA calibration is cold — and
-// rebuild again if the move is rejected and reverted.
-func (f *flow) tryCold(tr transform.Transform, fi int, mv transform.Move, before transform.Snapshot) (bool, error) {
-	cwns := f.cornerWNS()
-	if err := f.refresh(); err != nil {
-		return false, err
-	}
-	if tr.Accept(before, f.snap(fi)) && !f.cornersRegressed(cwns) {
-		return true, nil
-	}
-	f.noteReject(tr.Kind())
-	if err := mv.Revert(f.analysis()); err != nil {
-		return false, err
-	}
-	if err := f.refresh(); err != nil {
-		return false, err
-	}
-	return false, nil
-}
-
-// tryStructural is the trial protocol for connectivity-changing moves
-// that preserve the instance set (retiming). The trial is timed on a
-// fresh session; on acceptance the flow adopts it, marks the calibrator
-// stale (the next calibrate rebinds instead of going cold), and widens
-// the move's structural dirty set with every instance whose graph-derived
-// depth or bounding-box state moved — together they cover exactly the
-// instances whose timing the slide could have changed, which is what
-// makes the subsequent incremental recalibration bit-identical to a cold
-// one. On rejection the move is reverted and the pre-trial session — the
-// design is bit-identical again — simply remains in place.
+// tryStructural is the trial protocol for connectivity-changing moves.
+// The trial is timed on a session rebuilt over the edited design and
+// derived from the current one, so a move that left the clock network
+// alone reuses its clock state. On acceptance the flow adopts the trial
+// session, marks the calibrator stale (the next calibrate rebinds it
+// instead of going cold), and widens the move's dirty set with every
+// instance whose graph-derived depth or bounding-box state moved —
+// together they cover exactly the instances whose timing the edit could
+// have changed, which is what makes the subsequent incremental
+// recalibration bit-identical to a cold one. On rejection the move is
+// reverted and the pre-trial graph, session, Result, corner views and
+// calibrator simply stay in place: the reverted design times identically
+// (a removed buffer survives only as a dead instance and an orphan net
+// past the graph's arrays, which nothing times).
 func (f *flow) tryStructural(tr transform.Transform, fi int, mv transform.Move, before transform.Snapshot) (bool, error) {
-	g2, err := graph.Build(f.d)
+	v, err := f.buildView()
 	if err != nil {
 		return false, fmt.Errorf("closure: %s move broke the timing graph: %w", mv.Kind(), err)
 	}
-	newSess := engine.NewSession(g2)
-	cfg := f.opt.STA
-	if f.opt.Timer == TimerMGBA && f.weights != nil {
-		for len(f.weights) < len(f.d.Instances) {
-			f.weights = append(f.weights, 1)
-		}
-		cfg.Weights = f.weights
-	}
-	newR := newSess.Run(cfg)
-	after := transform.Snapshot{Slack: math.NaN(), WNS: newR.WNS, TNS: newR.TNS}
+	after := transform.Snapshot{Slack: math.NaN(), WNS: v.r.WNS, TNS: v.r.TNS}
 	if fi >= 0 {
-		after.Slack = newR.Slack[fi]
+		after.Slack = v.r.Slack[fi]
 	}
-	cwns := f.cornerWNS()
-	newCViews := f.runCornersOn(newSess, cfg.Weights)
-	if tr.Accept(before, after) && !vetoedByCorners(cwns, newCViews) {
-		dirty := append([]int(nil), mv.DirtySet()...)
-		dirty = append(dirty, diffSessions(f.sess, newSess)...)
-		f.retire(nil)
-		for i, cv := range f.cviews {
-			// The old views belong to the superseded session; swap in the
-			// trial session's.
-			cv.r.Release()
-			cv.r = newCViews[i]
-		}
-		f.g, f.sess, f.r = g2, newSess, newR
-		if f.cal != nil {
-			f.calStale = true
-		}
-		f.noteDirty(dirty)
-		return true, nil
+	if !tr.Accept(before, after) || vetoedByCorners(f.cornerWNS(), v.corners) {
+		f.noteReject(tr.Kind()) // the trial view is simply dropped
+		return false, mv.Revert(f.analysis())
 	}
-	f.noteReject(tr.Kind())
-	newR.Release()
-	for _, r := range newCViews {
-		r.Release()
+	dirty := append(append([]int(nil), mv.DirtySet()...), diffSessions(f.sess, v.sess)...)
+	f.adopt(v)
+	if f.cal != nil {
+		f.calStale = true
 	}
-	if err := mv.Revert(f.analysis()); err != nil {
-		return false, err
-	}
-	return false, nil
+	f.noteDirty(dirty)
+	return true, nil
 }
 
 // diffSessions returns the instances whose graph-derived derate inputs —

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -32,9 +33,9 @@ import (
 // The cache is dropped (forcing the next call cold) whenever its validity
 // cannot be guaranteed: a cancelled or faulted calibration, a dirty set
 // touching the clock network, a selection truncated by the MaxPaths cap.
-// Topology changes (buffer insertion) invalidate the engine.Session
-// itself; build a new Calibrator on the new session, seeded with the old
-// weights via Options.WarmWeights or SetWarmWeights.
+// Each such cold fallback is counted under its reason (coldReason).
+// Structural edits (buffer insertion, retiming) call for a rebuilt
+// engine.Session; Rebind the calibrator to it and the cache carries over.
 //
 // A Calibrator is not safe for concurrent use. Recalibrate mutates the
 // cached matrix in place, so the Problem of a previously returned Model is
@@ -71,6 +72,10 @@ type Calibrator struct {
 	guards   [][]float64
 	mat      *sparse.Matrix
 	cols     []int // column -> instance ID
+
+	// coldWhy is the reason the cache was last dropped by Rebind, reported
+	// by the cold calibration that follows.
+	coldWhy coldReason
 
 	stats CalibratorStats
 }
@@ -172,26 +177,30 @@ func (c *Calibrator) SetWarmWeights(w []float64) {
 }
 
 // Rebind moves the calibrator to a new engine.Session after a structural
-// edit that preserved the instance set and the clock network — a register
-// retiming slide. The per-endpoint path cache survives: the caller owes
-// the next Recalibrate a dirty set covering every instance whose timing or
-// graph-derived state (depth, bounding box) the edit moved, whose fan-out
-// cone then covers every endpoint whose cached paths could have changed —
-// clean endpoints' enumerations, retimings and matrix rows are provably
-// still exact. The cached baselines are tied to the old session's graph,
-// so the GBA baseline is re-run on the new session and the private
-// weighted baseline is dropped (the next Recalibrate re-derives it).
+// edit that kept the flip-flop list and the clock network — a register
+// retiming slide, a buffer insertion on a data net. The per-endpoint path
+// cache survives: the caller owes the next Recalibrate a dirty set
+// covering every instance the edit rewired or created, plus every
+// instance whose graph-derived state (depth, bounding box) it moved, whose
+// fan-out cone then covers every endpoint whose cached paths could have
+// changed — clean endpoints' enumerations, retimings and matrix rows are
+// provably still exact. Appended instances (an inserted buffer) enter the
+// fit as new columns once a re-enumerated path crosses them, through the
+// same prefix-extension column growth as any new path gate; the warm
+// start needs no padding for them, since the solve seeds an instance past
+// the warm weights at the neutral weight 1. The cached
+// baselines are tied to the old session's graph, so the GBA baseline is
+// re-run on the new session and the private weighted baseline is dropped
+// (the next Recalibrate re-derives it).
 //
-// A new session whose design changed instance count voids the cache
-// entirely; Rebind then degrades to an Invalidate and the next call runs
-// cold.
+// A new session whose graph does not extend the bound one — instances
+// removed, or the flip-flop list changed — voids the cache entirely;
+// Rebind then degrades to an Invalidate and the next call runs cold.
 func (c *Calibrator) Rebind(s *engine.Session) error {
 	if s == nil {
 		return fmt.Errorf("core: rebind to nil session")
 	}
-	sameShape := c.sess != nil &&
-		len(s.G.D.Instances) == len(c.sess.G.D.Instances) &&
-		len(s.G.D.FFs) == len(c.sess.G.D.FFs)
+	grows := c.sess != nil && s.G.Extends(c.sess.G)
 	c.sess = s
 	c.cheap.Rebind(s)
 	if err := c.golden.Rebind(s); err != nil {
@@ -211,8 +220,9 @@ func (c *Calibrator) Rebind(s *engine.Session) error {
 			cs.gba = nil
 		}
 	}
-	if !sameShape {
+	if !grows {
 		c.Invalidate()
+		c.coldWhy = coldShapeChange
 		return nil
 	}
 	c.mgba.Release()
@@ -253,14 +263,15 @@ func (c *Calibrator) Invalidate() {
 
 // Calibrate runs a full cold calibration and (re)fills the cache.
 func (c *Calibrator) Calibrate(ctx context.Context) (*Model, error) {
-	return c.cold(ctx, nil)
+	return c.cold(ctx, nil, coldRequested)
 }
 
 // cold is the full pipeline — identical to the historical one-shot
 // calibrate — plus cache management. sel non-nil substitutes an explicit
 // selection (the §3.2 scheme study), which cannot be cached because its
-// paths are not grouped per endpoint.
-func (c *Calibrator) cold(ctx context.Context, sel *pathsel.Selection) (*Model, error) {
+// paths are not grouped per endpoint. why is counted and emitted as the
+// reason the cold pipeline ran.
+func (c *Calibrator) cold(ctx context.Context, sel *pathsel.Selection, why coldReason) (*Model, error) {
 	if c.gba != nil {
 		// The previous cached baseline belongs to this calibrator alone
 		// (callers were handed it inside now-superseded models); recycle
@@ -274,8 +285,10 @@ func (c *Calibrator) cold(ctx context.Context, sel *pathsel.Selection) (*Model, 
 		}
 	}
 	c.Invalidate()
+	c.coldWhy = ""
 	c.stats.Cold++
 	obsCalibCold.Inc()
+	why.note()
 	sp := obs.StartSpan("calibrate.cold")
 	defer sp.End()
 	m := &Model{G: c.sess.G, Session: c.sess, Cfg: c.cfg, Opt: c.opt, Pair: c.pair.Name(), SafetyScale: 1}
@@ -418,14 +431,21 @@ func (c *Calibrator) fillCache(m *Model, pop *pathsel.Population) {
 // falls back to a cold calibration.
 func (c *Calibrator) Recalibrate(ctx context.Context, dirty []int) (*Model, error) {
 	if c.eps == nil || c.gba == nil {
-		return c.cold(ctx, nil)
+		why := c.coldWhy
+		if why == "" {
+			why = coldNoCache
+		}
+		return c.cold(ctx, nil, why)
 	}
-	d := c.sess.G.D
+	n := c.sess.G.NumInstances()
 	for _, id := range dirty {
-		if id < 0 || id >= len(d.Instances) || c.sess.G.IsClock(id) {
-			// Unknown instance or a touched clock cell: the cache's
-			// clock-invariance assumptions are void, go cold.
-			return c.cold(ctx, nil)
+		// An instance outside the bound graph, or a touched clock cell:
+		// the cache's clock-invariance assumptions are void, go cold.
+		if id < 0 || id >= n {
+			return c.cold(ctx, nil, coldUnknownInstance)
+		}
+		if c.sess.G.IsClock(id) {
+			return c.cold(ctx, nil, coldClockInstance)
 		}
 	}
 	c.stats.Incremental++
@@ -438,7 +458,7 @@ func (c *Calibrator) Recalibrate(ctx context.Context, dirty []int) (*Model, erro
 	if err := c.golden.Update(dirty); err != nil {
 		// The incremental mirror failed; a cold calibration re-derives the
 		// golden view from scratch instead.
-		return c.cold(ctx, nil)
+		return c.cold(ctx, nil, coldGoldenUpdate)
 	}
 	m.GBA = c.gba
 	m.Weights = identity(len(m.G.D.Instances))
@@ -504,7 +524,7 @@ func (c *Calibrator) Recalibrate(ctx context.Context, dirty []int) (*Model, erro
 	if c.opt.MaxPaths > 0 && total > c.opt.MaxPaths {
 		// The cap now binds: the cold selection would be a round-robin
 		// truncation, which the per-endpoint cache cannot reproduce.
-		return c.cold(ctx, nil)
+		return c.cold(ctx, nil, coldPathCap)
 	}
 	spAsm := sp.Child("assemble")
 	newCols, colOf := c.columnMap()
@@ -551,12 +571,13 @@ func (c *Calibrator) Recalibrate(ctx context.Context, dirty []int) (*Model, erro
 	if c.multiCorner() {
 		var cerr error
 		cornerSystems, cerr = c.rebuildCornerSystems(ctx, m, slots, dirty)
-		switch cerr {
-		case nil:
-		case errCornerCold:
+		var why coldReason
+		switch {
+		case cerr == nil:
+		case errors.As(cerr, &why):
 			spSolve.End()
-			return c.cold(ctx, nil)
-		case errCornersCancelled:
+			return c.cold(ctx, nil, why)
+		case cerr == errCornersCancelled:
 			spSolve.End()
 			c.Invalidate()
 			return c.finish(m.abandon("cancelled during golden retiming")), nil
@@ -590,7 +611,7 @@ func (c *Calibrator) Recalibrate(ctx context.Context, dirty []int) (*Model, erro
 		// a fresh Run under wcfg. The caller gets an independent clone; the
 		// original stays with the calibrator for the next round.
 		wdirty := append([]int(nil), dirty...)
-		for i, w := range m.Weights {
+		for i, w := range m.Weights[:n] {
 			if c.mweights[i] != w {
 				wdirty = append(wdirty, i)
 			}

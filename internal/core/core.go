@@ -270,7 +270,7 @@ func calibrate(ctx context.Context, s *engine.Session, g *graph.Graph, cfg sta.C
 	if err != nil {
 		return nil, err
 	}
-	return c.cold(ctx, sel)
+	return c.cold(ctx, sel, coldRequested)
 }
 
 // validateOptions rejects configurations the pipeline cannot run on.

@@ -104,10 +104,6 @@ type cornerSystem struct {
 // single-corner retiming pass.
 var errCornersCancelled = errors.New("core: corners cancelled")
 
-// errCornerCold asks Recalibrate to fall back to a cold calibration
-// because a corner's incremental state could not be advanced.
-var errCornerCold = errors.New("core: corner needs cold calibration")
-
 // multiCorner reports whether the calibrator runs the N>=2 corner
 // machinery.
 func (c *Calibrator) multiCorner() bool { return len(c.corners) > 0 }
@@ -386,11 +382,11 @@ func (c *Calibrator) rebuildCornerSystems(ctx context.Context, m *Model, slots, 
 	built := make([]*cornerSystem, len(c.corners))
 	for i, cs := range c.corners {
 		if cs.gba == nil || cs.tgroups == nil {
-			return nil, errCornerCold
+			return nil, coldNoCache
 		}
 		cs.gba.Update(dirty)
 		if err := cs.golden.Update(dirty); err != nil {
-			return nil, errCornerCold
+			return nil, coldGoldenUpdate
 		}
 		timer, err := cs.golden.Timer(cs.gba)
 		if err != nil {

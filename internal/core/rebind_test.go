@@ -4,11 +4,13 @@ import (
 	"context"
 	"testing"
 
+	"mgba/internal/cells"
 	"mgba/internal/core"
 	"mgba/internal/engine"
 	"mgba/internal/fixtures"
 	"mgba/internal/graph"
 	"mgba/internal/netlist"
+	"mgba/internal/obs"
 	"mgba/internal/sta"
 )
 
@@ -170,5 +172,185 @@ func TestRebindShapeMismatchInvalidates(t *testing.T) {
 	st := cal.Stats()
 	if st.Incremental != 0 {
 		t.Fatalf("shape mismatch did not force cold recalibration: %+v", st)
+	}
+}
+
+// TestRebindInPlaceShapeChangeInvalidates: in a closure flow the old and
+// the new session time the same, mutated design object, so the shape
+// check must compare what each graph was built over, not the live
+// design. A register added in place changes the flip-flop list: the next
+// calibration must be cold, counted as a shape change.
+func TestRebindInPlaceShapeChangeInvalidates(t *testing.T) {
+	d, g, sess := calDesign(t)
+	ctx := context.Background()
+	cal, err := core.NewCalibrator(sess, sta.DefaultConfig(), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cal.Calibrate(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	ff := d.Instances[d.FFs[0]]
+	dNet := -1
+	for _, v := range g.Topo {
+		if in := d.Instances[v]; !in.IsFF() && in.Output >= 0 {
+			dNet = in.Output
+			break
+		}
+	}
+	if _, err := d.AddFF(ff.Cell, ff.X, ff.Y, dNet, d.AddNet(), ff.Clock); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := graph.Build(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape := obs.NewCounter("core.calibrations.cold.shape_change")
+	prev := obs.Enabled()
+	obs.Enable(true)
+	defer obs.Enable(prev)
+	before := shape.Value()
+	if err := cal.Rebind(engine.NewSession(g2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cal.Recalibrate(ctx, []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	if st := cal.Stats(); st.Incremental != 0 || st.Cold != 2 {
+		t.Fatalf("a changed flip-flop list did not force a cold recalibration: %+v", st)
+	}
+	if shape.Value() != before+1 {
+		t.Fatal("the cold recalibration was not counted as a shape change")
+	}
+}
+
+// TestRebindBufferInsertionMatchesCold is the core-level contract behind
+// buffer insertion: after a data-net insertion appends an instance,
+// Rebind grows the cache to the rebuilt session and Recalibrate over the
+// insertion's dirty set (split-net driver, new buffer, moved sinks) plus
+// the instances whose depth or box moved must be bit-identical to a cold
+// calibration of the new design state with the same warm start.
+func TestRebindBufferInsertionMatchesCold(t *testing.T) {
+	d, g, sess := calDesign(t)
+	ctx := context.Background()
+	cfg := sta.DefaultConfig()
+	opt := core.DefaultOptions()
+	cal, err := core.NewCalibrator(sess, cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m0, err := cal.Calibrate(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m0.Selection.Paths) == 0 {
+		t.Fatal("fixture selected no paths")
+	}
+
+	// Buffer the output net of the first gate on a selected path.
+	var net int
+	for _, id := range m0.Selection.Paths[0].Cells {
+		if in := d.Instances[id]; !in.IsFF() {
+			net = in.Output
+			break
+		}
+	}
+	dirty := []int{d.Nets[net].Driver}
+	dirty = append(dirty, d.Nets[net].Sinks...)
+	buf, err := d.InsertBuffer(net, d.Lib.Variants(cells.Buf)[0], "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty = append(dirty, buf.ID)
+	g2, err := graph.Build(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess2 := engine.DeriveSession(sess, g2)
+	for i := 0; i < g.NumInstances(); i++ {
+		if sess.Depths.GBA[i] != sess2.Depths.GBA[i] ||
+			sess.Boxes.GBADistance[i] != sess2.Boxes.GBADistance[i] {
+			dirty = append(dirty, i)
+		}
+	}
+	if err := cal.Rebind(sess2); err != nil {
+		t.Fatal(err)
+	}
+	mInc, err := cal.Recalibrate(ctx, dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cal.Stats(); st.Incremental != 1 {
+		t.Fatalf("rebind after a buffer insertion forced a cold recalibration: %+v", st)
+	}
+
+	coldOpt := opt
+	coldOpt.WarmWeights = m0.Weights
+	mCold, err := core.CalibrateWithSession(ctx, engine.NewSession(g2), cfg, coldOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameFloats(mInc.Weights, mCold.Weights) {
+		t.Error("incremental weights differ from cold calibration after a buffer insertion")
+	}
+	if !sameFloats(mInc.MGBA.Slack, mCold.MGBA.Slack) {
+		t.Error("mGBA endpoint slacks differ from cold calibration after a buffer insertion")
+	}
+}
+
+// TestColdFallbackReasons: every cold calibration is counted under
+// exactly one reason, so the reasons sum to core.calibrations.cold.
+func TestColdFallbackReasons(t *testing.T) {
+	_, g, sess := calDesign(t)
+	ctx := context.Background()
+	prev := obs.Enabled()
+	obs.Enable(true)
+	defer obs.Enable(prev)
+	reason := func(r string) *obs.Counter { return obs.NewCounter("core.calibrations.cold." + r) }
+	total := obs.NewCounter("core.calibrations.cold")
+	reasons := []string{"requested", "no_cache", "shape_change", "unknown_instance",
+		"clock_instance", "golden_update", "path_cap"}
+	start := make(map[string]int64)
+	for _, r := range reasons {
+		start[r] = reason(r).Value()
+	}
+	total0 := total.Value()
+
+	cal, err := core.NewCalibrator(sess, sta.DefaultConfig(), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clockID := -1
+	for v := 0; v < g.NumInstances(); v++ {
+		if g.IsClock(v) {
+			clockID = v
+			break
+		}
+	}
+	steps := []struct {
+		reason string
+		run    func() error
+	}{
+		{"no_cache", func() error { _, err := cal.Recalibrate(ctx, nil); return err }},
+		{"unknown_instance", func() error { _, err := cal.Recalibrate(ctx, []int{g.NumInstances()}); return err }},
+		{"clock_instance", func() error { _, err := cal.Recalibrate(ctx, []int{clockID}); return err }},
+		{"requested", func() error { _, err := cal.Calibrate(ctx); return err }},
+	}
+	for _, st := range steps {
+		before := reason(st.reason).Value()
+		if err := st.run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := reason(st.reason).Value() - before; got != 1 {
+			t.Errorf("%s: counted %d times, want 1", st.reason, got)
+		}
+	}
+	var sum int64
+	for _, r := range reasons {
+		sum += reason(r).Value() - start[r]
+	}
+	if n := total.Value() - total0; sum != n || n != int64(len(steps)) {
+		t.Errorf("reasons sum to %d, core.calibrations.cold moved by %d, want %d", sum, n, len(steps))
 	}
 }

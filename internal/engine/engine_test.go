@@ -70,6 +70,14 @@ func requireIdentical(t *testing.T, want, got *engine.Result, label string) {
 			t.Fatalf("%s: endpoint %d hold slack %v != %v", label, fi, got.HoldSlack[fi], want.HoldSlack[fi])
 		}
 	}
+	for fi := range want.ClockLate {
+		if !eq(want.ClockLate[fi], got.ClockLate[fi]) || !eq(want.ClockEarly[fi], got.ClockEarly[fi]) ||
+			!eq(want.GBACRPR[fi], got.GBACRPR[fi]) {
+			t.Fatalf("%s: endpoint %d clock state %v/%v/%v != %v/%v/%v", label, fi,
+				got.ClockLate[fi], got.ClockEarly[fi], got.GBACRPR[fi],
+				want.ClockLate[fi], want.ClockEarly[fi], want.GBACRPR[fi])
+		}
+	}
 	if !eq(want.WNS, got.WNS) || !eq(want.TNS, got.TNS) {
 		t.Fatalf("%s: WNS/TNS %v/%v != %v/%v", label, got.WNS, got.TNS, want.WNS, want.TNS)
 	}
@@ -177,13 +185,21 @@ func TestIncrementalVsFullSession(t *testing.T) {
 }
 
 // TestBufferInsertionRebuild checks the documented staleness rule: after a
-// connectivity change the graph and session are rebuilt, and the rebuilt
-// session matches a cold analysis of the new design.
+// connectivity change the graph is rebuilt and a session derived from the
+// stale one, and the derived session matches a cold analysis of the new
+// design. Data-net insertions leave the clock network alone, so the
+// derived session inherits the clock state (the very same arrays); an
+// insertion on a clock net inherits nothing. Either way every Run —
+// clock arrays and CRPR credits included — is bitwise equal to a fresh
+// NewSession's.
 func TestBufferInsertionRebuild(t *testing.T) {
 	d, g := buildDesign(t, gen.Toy())
 	cfg := engine.DefaultConfig()
+	ideal := cfg
+	ideal.IdealClock = true
 	s := engine.NewSession(g)
 	s.Run(cfg).Release()
+	s.Run(ideal).Release()
 
 	bufs := d.Lib.Variants(cells.Buf)
 	if len(bufs) == 0 {
@@ -211,12 +227,136 @@ func TestBufferInsertionRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := engine.NewSession(g2)
+	s2 := engine.DeriveSession(s, g2)
+	if n := s2.NumClockStates(); n != 2 {
+		t.Fatalf("data-net insertion: derived session inherited %d clock states, want 2", n)
+	}
 	r2 := s2.Run(cfg)
 	defer r2.Release()
-	cold := engine.Analyze(g2, cfg)
+	prev := s.Run(cfg)
+	if &prev.ClockLate[0] != &r2.ClockLate[0] {
+		t.Error("data-net insertion: derived session recomputed the clock insertion delays")
+	}
+	prev.Release()
+	cold := engine.NewSession(g2).Run(cfg)
 	defer cold.Release()
-	requireIdentical(t, cold, r2, "rebuilt")
+	requireIdentical(t, cold, r2, "derived")
+	requireIdentical(t, engine.Analyze(g2, ideal), s2.Run(ideal), "derived ideal")
+
+	// A clock-net insertion: split the net feeding some FF's CK pin.
+	clkNet := d.Instances[d.FFs[0]].Clock
+	if _, err := d.InsertBuffer(clkNet, d.Lib.Variants(cells.ClkBuf)[0], "clkbuf"); err != nil {
+		t.Fatal(err)
+	}
+	g3, err := graph.Build(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3 := engine.DeriveSession(s2, g3)
+	if n := s3.NumClockStates(); n != 0 {
+		t.Fatalf("clock-net insertion: derived session inherited %d clock states, want 0", n)
+	}
+	r3 := s3.Run(cfg)
+	defer r3.Release()
+	cold3 := engine.NewSession(g3).Run(cfg)
+	defer cold3.Release()
+	requireIdentical(t, cold3, r3, "derived across a clock edit")
+}
+
+// TestDeriveSessionRederivesGBACRPR: a data-path edit can change which
+// launch clock leaves reach an endpoint without touching the clock tree.
+// A derived session inherits the pair credits but must re-derive the
+// conservative per-endpoint credit from its own graph.
+func TestDeriveSessionRederivesGBACRPR(t *testing.T) {
+	d, g := buildDesign(t, gen.Toy())
+	cfg := engine.DefaultConfig()
+	s := engine.NewSession(g)
+	r := s.Run(cfg)
+	before := append([]float64(nil), r.GBACRPR...)
+	r.Release()
+	rewire := func(gate *netlist.Instance, from, to int) {
+		gate.Inputs[0] = to
+		old := d.Nets[from]
+		for k, sk := range old.Sinks {
+			if sk == gate.ID {
+				old.Sinks = append(old.Sinks[:k], old.Sinks[k+1:]...)
+				break
+			}
+		}
+		d.Nets[to].Sinks = append(d.Nets[to].Sinks, gate.ID)
+	}
+	// Feed some gate's first input from another register's Q pin instead,
+	// until the edit moves an endpoint's conservative credit.
+	for _, v := range g.Topo {
+		gate := d.Instances[v]
+		if gate.IsFF() || len(gate.Inputs) == 0 {
+			continue
+		}
+		for _, ffID := range d.FFs {
+			q := d.Instances[ffID].Output
+			from := gate.Inputs[0]
+			if q < 0 || q == from {
+				continue
+			}
+			rewire(gate, from, q)
+			g2, err := graph.Build(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := engine.NewSession(g2).Run(cfg)
+			moved := false
+			for fi := range before {
+				moved = moved || fresh.GBACRPR[fi] != before[fi]
+			}
+			if !moved {
+				rewire(gate, q, from)
+				continue
+			}
+			s2 := engine.DeriveSession(s, g2)
+			if n := s2.NumClockStates(); n != 1 {
+				t.Fatalf("data-path edit: derived session inherited %d clock states, want 1", n)
+			}
+			requireIdentical(t, fresh, s2.Run(cfg), "derived across a reachability change")
+			return
+		}
+	}
+	t.Fatal("no data-path edit moved a conservative CRPR credit")
+}
+
+// TestDeriveSessionClockInputs: a clock-tree edit that keeps the chains —
+// an upsized clock buffer, a moved one — must not inherit the stale state.
+func TestDeriveSessionClockInputs(t *testing.T) {
+	d, g := buildDesign(t, gen.Toy())
+	cfg := engine.DefaultConfig()
+	s := engine.NewSession(g)
+	s.Run(cfg).Release()
+	var clk *netlist.Instance
+	for _, in := range d.Instances {
+		if in.Cell.Kind == cells.ClkBuf {
+			clk = in
+			break
+		}
+	}
+	if clk == nil {
+		t.Fatal("toy design has no clock buffer")
+	}
+	edits := []func(){
+		func() { clk.Cell = d.Lib.Upsize(clk.Cell) },
+		func() { clk.X += 5 },
+	}
+	for i, edit := range edits {
+		edit()
+		g2, err := graph.Build(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2 := engine.DeriveSession(s, g2)
+		if n := s2.NumClockStates(); n != 0 {
+			t.Fatalf("edit %d: inherited %d clock states from a changed clock tree", i, n)
+		}
+		requireIdentical(t, engine.NewSession(g2).Run(cfg), s2.Run(cfg), "clock edit")
+		s = s2
+	}
 }
 
 // TestClockStateCachedAcrossRuns checks that the clock insertion delays and

@@ -388,7 +388,8 @@ func (r *Result) ViolatingEndpoints() []int {
 // the cost scales with the cone, not the design.
 //
 // Connectivity changes (buffer insertion) invalidate the graph and the
-// session; rebuild with graph.Build and NewSession, and Run again instead.
+// session; rebuild with graph.Build and DeriveSession, and Run again
+// instead.
 func (r *Result) Update(modified []int) {
 	if len(modified) == 0 {
 		return

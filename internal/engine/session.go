@@ -3,9 +3,11 @@ package engine
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 
 	"mgba/internal/aocv"
+	"mgba/internal/cells"
 	"mgba/internal/graph"
 	"mgba/internal/netlist"
 	"mgba/internal/obs"
@@ -20,9 +22,9 @@ import (
 //
 // A Session is safe for concurrent Runs. It becomes stale when the
 // design's connectivity, placement, or clock tree changes (buffer
-// insertion, cell moves): rebuild the graph and the Session then. Gate
-// resizing on the data path does not invalidate it — that is what
-// Result.Update is for.
+// insertion, cell moves): rebuild the graph and derive a new Session from
+// the stale one then (DeriveSession). Gate resizing on the data path does
+// not invalidate it — that is what Result.Update is for.
 type Session struct {
 	G      *graph.Graph
 	Depths *graph.Depths
@@ -69,6 +71,27 @@ type clockState struct {
 	// clock-leaf pair. nil when the configuration yields zero credits
 	// (ideal clock, or clock derating off).
 	credits [][]float64
+
+	// inputs records, in evaluation order, every clock buffer the state
+	// was computed from together with the design values it read — what
+	// DeriveSession checks before a successor session reuses the state.
+	inputs []clockInput
+}
+
+// clockInput is one clock buffer's contribution to a clock state: its
+// cell, placement, and output-net wire delay and load.
+type clockInput struct {
+	id         int32
+	cell       *cells.Cell
+	x, y       float64
+	wire, load float64
+}
+
+// clockInputOf reads instance id's current clock-state inputs.
+func clockInputOf(d *netlist.Design, id int32) clockInput {
+	in := d.Instances[id]
+	out := d.Nets[in.Output]
+	return clockInput{id: id, cell: in.Cell, x: in.X, y: in.Y, wire: out.WireDelay, load: d.LoadCap(out)}
 }
 
 var unconstrained = math.Inf(1)
@@ -83,7 +106,7 @@ func NewSession(g *graph.Graph) *Session {
 		Boxes:  g.ComputeBoxes(),
 		clocks: make(map[clockKey]*clockState),
 	}
-	s.topoPos = make([]int32, len(g.D.Instances))
+	s.topoPos = make([]int32, g.NumInstances())
 	for i := range s.topoPos {
 		s.topoPos[i] = -1
 	}
@@ -94,13 +117,71 @@ func NewSession(g *graph.Graph) *Session {
 	return s
 }
 
+// DeriveSession is NewSession for g, a graph rebuilt after a structural
+// edit of the design prev times (a buffer insertion, a retiming slide). It
+// inherits every clock state prev has built whose clock network the edit
+// left alone — same flip-flops, same clock chains, and every clock buffer
+// with the cell, placement, wire delay and load it was computed from — so
+// the rebuilt session skips the insertion-delay walk and the leaf-pair
+// CRPR credit matrix, the bulk of a cold first Run. The conservative
+// per-endpoint credit is still re-derived from g's own launch-leaf
+// reachability, which a data-path edit can change. Every inherited value
+// is therefore exactly what a fresh NewSession would compute; an edit that
+// touched a clock net inherits nothing, and a nil prev is NewSession.
+func DeriveSession(prev *Session, g *graph.Graph) *Session {
+	s := NewSession(g)
+	if prev == nil || !sameClockTree(prev.G, g) {
+		return s
+	}
+	prev.mu.Lock()
+	defer prev.mu.Unlock()
+	for key, cs := range prev.clocks {
+		if !cs.inputsHold(g.D) {
+			continue
+		}
+		if cs.credits != nil {
+			shared := *cs
+			shared.gbaCRPR = make([]float64, len(cs.gbaCRPR))
+			s.fillGBACRPR(&shared)
+			cs = &shared
+		}
+		s.clocks[key] = cs
+	}
+	return s
+}
+
+// sameClockTree reports whether g has prev's flip-flops and gives every
+// one of them the same clock-buffer chain.
+func sameClockTree(prev, g *graph.Graph) bool {
+	if !g.Extends(prev) {
+		return false
+	}
+	for fi, chain := range g.ClockChain {
+		if !slices.Equal(chain, prev.ClockChain[fi]) {
+			return false
+		}
+	}
+	return true
+}
+
+// inputsHold reports whether every clock buffer the state was computed
+// from still reads the same inputs in d.
+func (cs *clockState) inputsHold(d *netlist.Design) bool {
+	for _, ci := range cs.inputs {
+		if d.Instances[ci.id].Output < 0 || clockInputOf(d, ci.id) != ci {
+			return false
+		}
+	}
+	return true
+}
+
 // levelize groups the data instances by topological level. Within a level
 // no instance feeds another (any data edge raises the sink's level), so a
 // level's instances can be evaluated in any order — or in parallel.
 func (s *Session) levelize() {
 	g := s.G
 	d := g.D
-	level := make([]int, len(d.Instances))
+	level := make([]int, g.NumInstances())
 	maxLevel := 0
 	for _, v := range g.Topo {
 		if d.Instances[v].IsFF() {
@@ -179,15 +260,15 @@ func (s *Session) buildClockState(key clockKey) *clockState {
 		if m, ok := memo[id]; ok && m.done {
 			return m
 		}
-		in := d.Instances[id]
 		var inSlew float64
 		if k > 0 {
 			inSlew = eval(chain, k-1).slew
 		}
-		load := d.LoadCap(d.Nets[in.Output])
+		ci := clockInputOf(d, id)
+		cs.inputs = append(cs.inputs, ci)
 		m := &bufT{
-			delay: in.Cell.Delay(load, inSlew) + d.Nets[in.Output].WireDelay,
-			slew:  in.Cell.OutputSlew(load, inSlew),
+			delay: ci.cell.Delay(ci.load, inSlew) + ci.wire,
+			slew:  ci.cell.OutputSlew(ci.load, inSlew),
 			done:  true,
 		}
 		memo[id] = m
@@ -273,11 +354,16 @@ func (s *Session) buildCredits(cs *clockState, derates *aocv.Set) {
 			cs.credits[leafL][leafC] = credit
 		}
 	}
-	// Conservative per-endpoint credit: the smallest pair credit over every
-	// launch leaf that can reach the endpoint. This is what industrial GBA
-	// applies — safe for any path, pessimistic for paths whose true launch
-	// shares a deeper clock prefix.
-	for fi := range d.FFs {
+	s.fillGBACRPR(cs)
+}
+
+// fillGBACRPR derives the conservative per-endpoint credit from the pair
+// credits: the smallest pair credit over every launch leaf that can reach
+// the endpoint. This is what industrial GBA applies — safe for any path,
+// pessimistic for paths whose true launch shares a deeper clock prefix.
+func (s *Session) fillGBACRPR(cs *clockState) {
+	ci := s.G.ClockIndex()
+	for fi := range cs.gbaCRPR {
 		leaves := ci.LaunchLeaves[fi]
 		if len(leaves) == 0 {
 			continue
@@ -348,7 +434,7 @@ func (s *Session) getScratch() *scratch {
 		return sc
 	}
 	s.scratchMu.Unlock()
-	sc := newScratch(len(s.G.D.Instances), len(s.G.D.FFs))
+	sc := newScratch(s.G.NumInstances(), s.G.NumFFs())
 	return sc
 }
 

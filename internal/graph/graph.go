@@ -18,6 +18,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mgba/internal/cells"
 	"mgba/internal/netlist"
@@ -38,6 +39,11 @@ var indexLimit = int64(math.MaxInt32)
 // Graph is the structural timing graph of one design. It becomes stale when
 // the design's connectivity changes (buffer insertion); rebuild it then.
 // Gate resizing does not change the structure.
+//
+// A graph covers the instances and flip-flops the design had when it was
+// built (NumInstances, NumFFs). Instances appended to the design later —
+// the dead remains of a reverted buffer insertion — lie beyond its
+// arrays; nothing that times the graph reads them.
 type Graph struct {
 	D *netlist.Design
 
@@ -185,7 +191,7 @@ func Build(d *netlist.Design) (*Graph, error) {
 // flip-flop do not count toward its in-degree: registers are path breaks.
 func (g *Graph) topoSort() error {
 	d := g.D
-	indeg := make([]int32, len(d.Instances))
+	indeg := make([]int32, g.NumInstances())
 	nData := 0
 	for _, in := range d.Instances {
 		if in.Dead || g.isClock[in.ID] {
@@ -257,6 +263,31 @@ func (g *Graph) buildClockChains() error {
 		g.ClockChain[i] = chain
 	}
 	return nil
+}
+
+// NumInstances returns the number of instances the graph was built over;
+// every per-instance array derived from it has this length.
+func (g *Graph) NumInstances() int { return len(g.ffPos) }
+
+// NumFFs returns the number of flip-flops the graph was built over.
+func (g *Graph) NumFFs() int { return len(g.ClockChain) }
+
+// Extends reports whether g covers prev's instances unchanged in number
+// and register role, plus any appended non-register instances: the shape
+// a per-instance cache bound to prev can grow into. A changed flip-flop
+// list, or fewer instances, does not extend.
+func (g *Graph) Extends(prev *Graph) bool {
+	n := len(prev.ffPos)
+	if len(g.ffPos) < n || len(g.ClockChain) != len(prev.ClockChain) ||
+		!slices.Equal(g.ffPos[:n], prev.ffPos) {
+		return false
+	}
+	for _, p := range g.ffPos[n:] {
+		if p >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // FFIndex returns the D.FFs position of an FF instance ID, or -1.
@@ -362,7 +393,7 @@ func (g *Graph) ClockIndex() *ClockIndex {
 	// Launch-leaf reachability over the data graph, as bitsets backed by
 	// one arena (O(V·nl/64) transient, freed when this function returns).
 	words := (nl + 63) / 64
-	arena := make([]uint64, len(d.Instances)*words)
+	arena := make([]uint64, g.NumInstances()*words)
 	mask := func(v int32) []uint64 {
 		return arena[int(v)*words : (int(v)+1)*words]
 	}
@@ -441,7 +472,7 @@ const unreachable = math.MaxInt32
 // which is what a conservative timer assumes for unconstrained logic.
 func (g *Graph) ComputeDepths() *Depths {
 	d := g.D
-	n := len(d.Instances)
+	n := g.NumInstances()
 	dp := &Depths{
 		MinPrefix: make([]int32, n),
 		MinSuffix: make([]int32, n),
@@ -594,7 +625,7 @@ type Boxes struct {
 // derives the conservative per-gate AOCV distance.
 func (g *Graph) ComputeBoxes() *Boxes {
 	d := g.D
-	n := len(d.Instances)
+	n := g.NumInstances()
 	bx := &Boxes{
 		Launch:      make([]BBox, n),
 		Capture:     make([]BBox, n),

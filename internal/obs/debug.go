@@ -44,10 +44,19 @@ func Serve(addr string) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s := &Server{ln: ln, srv: &http.Server{Handler: mux}}
+	s := &Server{ln: ln, srv: &http.Server{Handler: mux,
+		ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}}
 	go s.srv.Serve(ln)
 	return s, nil
 }
+
+// Request read bounds of the debug server: its endpoints take no request
+// body, so a client that has not sent a complete request by then is cut
+// off.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+)
 
 // Addr returns the server's bound address (useful with port 0).
 func (s *Server) Addr() string { return s.ln.Addr().String() }

@@ -320,3 +320,19 @@ func TestEnabledMetricsZeroAllocs(t *testing.T) {
 		t.Fatalf("enabled metric path allocates %v/op, want 0", n)
 	}
 }
+
+// TestServeSetsReadTimeouts: the debug server bounds how long a client
+// may take to send its headers and its whole request.
+func TestServeSetsReadTimeouts(t *testing.T) {
+	prev := Enabled()
+	defer Enable(prev)
+	srv, err := Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if srv.srv.ReadHeaderTimeout != readHeaderTimeout || srv.srv.ReadTimeout != readTimeout {
+		t.Fatalf("read timeouts %v/%v, want %v/%v", srv.srv.ReadHeaderTimeout, srv.srv.ReadTimeout,
+			readHeaderTimeout, readTimeout)
+	}
+}

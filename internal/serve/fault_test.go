@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -395,4 +397,69 @@ func TestDeleteSessionRemovesSnapshot(t *testing.T) {
 		t.Fatal("delete left the snapshot behind")
 	}
 	wantStatus(t, doJSON(t, "GET", ts.URL+"/v1/sessions/gone", nil, nil), http.StatusNotFound)
+}
+
+// TestRequestBodyBounds: calibd bounds everything a client sends. A
+// create or batch body past its byte bound is refused with 413 — whether
+// the client declares the length up front or streams it — a batch with
+// too many ops with 400, and none of it touches the session.
+func TestRequestBodyBounds(t *testing.T) {
+	sv, ts := testServer(t, nil)
+	d := testDesign(t, 300, 40)
+	createInline(t, ts.URL, "bounds", d)
+	before := getSlacks(t, ts.URL, "bounds")
+	batchURL := ts.URL + "/v1/sessions/bounds/batch"
+
+	// A declared length past the bound is refused before any read (the
+	// request goes straight to the handler: a real client would not send
+	// a body shorter than it declares).
+	req := httptest.NewRequest("POST", "/v1/sessions", strings.NewReader("{}"))
+	req.ContentLength = maxCreateBody + 1
+	rec := httptest.NewRecorder()
+	sv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized create: status %d, want 413", rec.Code)
+	}
+	// A streamed (chunked, length unknown) batch body is cut off at the
+	// bound: a valid op list that never ends.
+	op := `{"op":"upsize","instance":300},`
+	endless := io.MultiReader(strings.NewReader(`{"ops":[`),
+		strings.NewReader(strings.Repeat(op, maxBatchBody/len(op)+1)))
+	resp, err := http.Post(batchURL, "application/json", endless)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized streamed batch: status %d, want 413", resp.StatusCode)
+	}
+	ids := upsizableIDs(t, d, 1)
+	ops := make([]Op, maxBatchOps+1)
+	for i := range ops {
+		ops[i] = Op{Op: "upsize", Instance: ids[0]}
+	}
+	wantStatus(t, doJSON(t, "POST", batchURL, batchRequest{Ops: ops}, nil), http.StatusBadRequest)
+
+	if after := getSlacks(t, ts.URL, "bounds"); !sameFloats(before.Slacks, after.Slacks) {
+		t.Fatal("a refused request changed the session")
+	}
+	// The bounds admit an ordinary batch.
+	wantStatus(t, doJSON(t, "POST", batchURL, upsizeBatch(ids), nil), http.StatusOK)
+}
+
+// TestListenSetsReadTimeouts: the daemon's HTTP server bounds how long a
+// client may take to send its headers and its whole request.
+func TestListenSetsReadTimeouts(t *testing.T) {
+	sv, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownServer(t, sv)
+	if sv.httpSrv.ReadHeaderTimeout != readHeaderTimeout || sv.httpSrv.ReadTimeout != readTimeout {
+		t.Fatalf("read timeouts %v/%v, want %v/%v", sv.httpSrv.ReadHeaderTimeout,
+			sv.httpSrv.ReadTimeout, readHeaderTimeout, readTimeout)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -22,7 +23,8 @@ import (
 
 // API types. Every response body is JSON; errors use errorBody with the
 // HTTP status carrying the class (404 unknown, 409 conflict, 429/503
-// retryable with Retry-After, 422 bad batch, 400 bad request).
+// retryable with Retry-After, 422 bad batch, 413 body too large, 400 bad
+// request).
 
 type errorBody struct {
 	Error        string `json:"error"`
@@ -71,6 +73,37 @@ type sessionStatus struct {
 
 type batchRequest struct {
 	Ops []Op `json:"ops"`
+}
+
+// Request bounds. Every body is read through http.MaxBytesReader: a body
+// past its bound is refused with 413 before it is decoded, and a batch
+// with more than maxBatchOps ops with 400. A create body's bound admits
+// an inline design well past 100k gates.
+const (
+	maxCreateBody = 64 << 20
+	maxBatchBody  = 1 << 20
+	maxBatchOps   = 4096
+)
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes.
+// On failure it writes the error response itself — 413 past the bound,
+// 400 for a malformed body — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	if r.ContentLength > limit {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", limit)
+		return false
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", limit)
+		} else {
+			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		}
+		return false
+	}
+	return true
 }
 
 type batchResponse struct {
@@ -221,8 +254,7 @@ func (sv *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 func (sv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req createRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, maxCreateBody, &req) {
 		return
 	}
 	if !idPattern.MatchString(req.ID) {
@@ -363,12 +395,15 @@ func (sv *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, maxBatchBody, &req) {
 		return
 	}
 	if len(req.Ops) == 0 {
 		writeError(w, http.StatusBadRequest, "empty batch")
+		return
+	}
+	if len(req.Ops) > maxBatchOps {
+		writeError(w, http.StatusBadRequest, "batch of %d ops exceeds the %d-op limit", len(req.Ops), maxBatchOps)
 		return
 	}
 	results, dirty, err := s.applyOps(req.Ops)

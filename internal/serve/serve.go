@@ -453,6 +453,14 @@ func (sv *Server) maintain() {
 	}
 }
 
+// Connection read bounds: a client gets readHeaderTimeout to send its
+// request headers and readTimeout for the whole request, body included,
+// so a stalled or trickling client cannot hold a connection open.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 2 * time.Minute
+)
+
 // Listen starts serving on addr (host:port; port 0 picks a free one —
 // read it back via Addr).
 func (sv *Server) Listen(addr string) error {
@@ -461,7 +469,7 @@ func (sv *Server) Listen(addr string) error {
 		return fmt.Errorf("serve: %w", err)
 	}
 	sv.ln = ln
-	sv.httpSrv = &http.Server{Handler: sv}
+	sv.httpSrv = &http.Server{Handler: sv, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
 	go func() {
 		if err := sv.httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			obs.Event("http_serve_error", "err", err.Error())

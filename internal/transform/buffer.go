@@ -26,9 +26,8 @@ func NewBuffer(minWireDelay float64, drive int) *Buffer {
 // Kind implements Transform.
 func (*Buffer) Kind() string { return "buffer" }
 
-// ConnectivityChanging implements Transform: an insertion adds an instance
-// and a net, invalidating the graph, the session, and the calibration
-// cache (hence the nil DirtySet of its moves).
+// ConnectivityChanging implements Transform: an insertion appends an
+// instance and a net, so the flow times it on a rebuilt session.
 func (*Buffer) ConnectivityChanging() bool { return true }
 
 // Propose implements Transform: the single path net with the largest wire
@@ -57,11 +56,18 @@ func (t *Buffer) Apply(a *Analysis, c Candidate) (Move, error) {
 	if err != nil {
 		return nil, err
 	}
+	n := a.D.Nets[c.Target]
+	var dirty []int
+	if n.Driver >= 0 {
+		dirty = append(dirty, n.Driver)
+	}
+	sinks := append([]int(nil), n.Sinks...)
 	b, err := a.D.InsertBuffer(c.Target, buf, "")
 	if err != nil {
 		return nil, nil
 	}
-	return &bufferMove{buf: b, cost: buf.Area}, nil
+	dirty = append(append(dirty, b.ID), sinks...)
+	return &bufferMove{buf: b, cost: buf.Area, dirty: dirty}, nil
 }
 
 // Accept implements Transform: the target endpoint must improve without
@@ -72,8 +78,9 @@ func (*Buffer) Accept(before, after Snapshot) bool {
 }
 
 type bufferMove struct {
-	buf  *netlist.Instance
-	cost float64
+	buf   *netlist.Instance
+	cost  float64
+	dirty []int
 }
 
 func (m *bufferMove) Kind() string { return "buffer" }
@@ -82,8 +89,8 @@ func (m *bufferMove) Revert(a *Analysis) error {
 	return a.D.RemoveBuffer(m.buf)
 }
 
-// DirtySet implements Move: nil — the insertion created an instance, which
-// the incremental calibration cache cannot absorb; the flow goes cold.
-func (m *bufferMove) DirtySet() []int { return nil }
+// DirtySet implements Move: the split net's driver (its load changed),
+// the new buffer, and the sinks moved onto the buffer's output net.
+func (m *bufferMove) DirtySet() []int { return m.dirty }
 
 func (m *bufferMove) Cost() float64 { return m.cost }

@@ -19,12 +19,11 @@ const (
 	OpForward
 )
 
-// Retime is the structural repair transform: lag-based movement of a
+// Retime is the register-retiming repair transform: lag-based movement of a
 // register across an adjacent single-input combinational gate (netlist
-// RetimeBackward/RetimeForward). It is the move the calibrator's
-// structural dirty sets exist for: connectivity changes but the instance
-// set does not, so an accepted slide rebinds the calibration session and
-// recalibrates incrementally instead of going cold.
+// RetimeBackward/RetimeForward). Like buffer insertion it is a structural
+// move: an accepted slide rebinds the calibration session and
+// recalibrates incrementally over the slide's dirty set.
 //
 // The transform tracks a per-register lag (net backward slides) and caps
 // its magnitude, bounding how far any register can drift from its placed
@@ -44,8 +43,6 @@ func NewRetime(maxLag int) *Retime {
 func (*Retime) Kind() string { return "retime" }
 
 // ConnectivityChanging implements Transform: a slide rewires three nets.
-// Unlike buffer insertion its moves carry a non-nil DirtySet, so the flow
-// stays on the incremental calibration path.
 func (*Retime) ConnectivityChanging() bool { return true }
 
 // Lag returns the current lag of register ff (positive = slid backward).

@@ -8,19 +8,19 @@
 // no move-specific logic.
 //
 // The capability contract is the ConnectivityChanging bit plus the Move's
-// DirtySet:
+// DirtySet, and it selects one of two trial protocols:
 //
-//   - !ConnectivityChanging (upsize, downsize): the timing graph is
-//     untouched, the flow advances its Result in place with
+//   - in place, !ConnectivityChanging (upsize, downsize): the timing graph
+//     is untouched, the flow advances its Result in place with
 //     Result.Update(DirtySet) — thousands of trials against one session.
-//   - ConnectivityChanging with DirtySet == nil (buffer insertion): the
-//     move invalidates the session and gives no usable dirty seed (it
-//     creates an instance, which the calibration cache cannot absorb);
-//     the flow rebuilds the session and the next mGBA calibration is cold.
-//   - ConnectivityChanging with DirtySet != nil (retiming): the move
-//     rewires the graph but preserves the instance set, so the flow
-//     rebuilds the session, rebinds the persistent calibrator to it, and
-//     the dirty set drives an exact *incremental* recalibration.
+//   - structural, ConnectivityChanging (buffer insertion, retiming): the
+//     move rewires the netlist — buffer insertion also appends an
+//     instance and a net — so the flow times the trial on a rebuilt
+//     session derived from the current one (which keeps the clock state
+//     when the clock network was not touched). An accepted move rebinds
+//     the persistent calibrator to that session, and the dirty set drives
+//     an exact *incremental* recalibration; a rejected one is reverted
+//     and the pre-trial session stays.
 //
 // Acceptance is also per-transform (Accept over before/after timing
 // snapshots): repair moves demand target-endpoint improvement under a WNS
@@ -75,13 +75,14 @@ type Move interface {
 	// Kind echoes the owning transform's kind.
 	Kind() string
 	// Revert undoes the application exactly. After a successful revert the
-	// design is bit-identical to its pre-Apply state.
+	// design times bit-identically to its pre-Apply state; an instance or
+	// net the move appended stays behind, dead and unconnected.
 	Revert(a *Analysis) error
-	// DirtySet returns the instances whose timing changed, the seed for
-	// incremental Result.Update and calibrator recalibration. nil means
-	// the move cannot bound its effect (the session must be rebuilt and
-	// the next calibration run cold); connectivity-preserving moves must
-	// return a non-nil set.
+	// DirtySet returns the instances whose timing the edit changed
+	// directly — the seed for incremental Result.Update and calibrator
+	// recalibration. A connectivity-changing move includes every instance
+	// it rewired or created; the flow widens the set with the instances
+	// whose graph-derived derate inputs moved.
 	DirtySet() []int
 	// Cost is the move's area delta (positive grows the design).
 	Cost() float64

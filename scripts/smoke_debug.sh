@@ -106,3 +106,51 @@ case "$(cat "$out2")" in
 esac
 
 echo "smoke_debug: transform smoke ok ($addr, $retimes retimes)"
+
+kill "$pid" 2>/dev/null || true
+wait "$pid" 2>/dev/null || true
+
+# Default-registry smoke: the mGBA closure on D3 rejects every buffer
+# trial, and those trials must no longer throw the calibrator away — after
+# the run, /debug/vars must show rejected buffer trials and incremental
+# calibrations side by side.
+log3=$(mktemp)
+out3=$(mktemp)
+"$bin" -design D3 -timer mgba -debug-addr 127.0.0.1:0 -debug-hold 20s \
+    >"$out3" 2>"$log3" &
+pid=$!
+
+addr=""
+for _ in $(seq 1 100); do
+    addr=$(sed -n 's/.*debug server listening on \(.*\)/\1/p' "$log3")
+    [ -n "$addr" ] && break
+    sleep 0.1
+done
+if [ -z "$addr" ]; then
+    echo "smoke_debug: D3 server address never appeared" >&2
+    cat "$log3" >&2
+    exit 1
+fi
+
+# The report is printed once the run is over; the counters are final then.
+for _ in $(seq 1 300); do
+    grep -q 'mGBA' "$out3" && break
+    sleep 0.1
+done
+vars=$(curl -fsS "http://$addr/debug/vars")
+counter() {
+    printf '%s' "$vars" | sed -n "s/.*\"$1\": \([0-9][0-9]*\).*/\1/p"
+}
+incremental=$(counter 'core\.calibrations\.incremental')
+rejected=$(counter 'closure\.transforms\.buffer\.rejected')
+if [ -z "$incremental" ] || [ "$incremental" -eq 0 ] ||
+    [ -z "$rejected" ] || [ "$rejected" -eq 0 ]; then
+    echo "smoke_debug: D3 run recorded $incremental incremental calibrations and" \
+        "$rejected rejected buffer trials; want both > 0:" >&2
+    printf '%s\n' "$vars" >&2
+    cat "$out3" >&2
+    exit 1
+fi
+
+echo "smoke_debug: default-registry smoke ok ($addr, $incremental incremental" \
+    "calibrations, $rejected rejected buffer trials)"
