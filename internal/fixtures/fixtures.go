@@ -130,11 +130,24 @@ func Fig2() (*netlist.Design, *Fig2Info, sta.Config, error) {
 // between two flip-flops, placed along the x axis with the given pitch in
 // micrometres. It returns the design and the inverter instance IDs.
 func Chain(n int, pitch float64, node int, period float64) (*netlist.Design, []int, error) {
+	return chain(fmt.Sprintf("chain%d", n), cells.Inv, n, pitch, node, period)
+}
+
+// PinParallelChain builds the Chain pipeline from NAND2 gates whose two
+// input pins both read the previous stage's net. Every gate has two
+// pin-parallel fanin edges from one driver, so the single launch-to-capture
+// path has 2^n per-pin copies: the plateau a k-worst search must not walk
+// edge by edge. It returns the design and the gate instance IDs.
+func PinParallelChain(n int, pitch float64, node int, period float64) (*netlist.Design, []int, error) {
+	return chain(fmt.Sprintf("ppchain%d", n), cells.Nand2, n, pitch, node, period)
+}
+
+func chain(name string, kind cells.Kind, n int, pitch float64, node int, period float64) (*netlist.Design, []int, error) {
 	if n < 1 {
 		return nil, nil, fmt.Errorf("fixtures: chain needs n >= 1")
 	}
 	lib := cells.Default(node)
-	d := netlist.New(fmt.Sprintf("chain%d", n), node, lib, aocv.Default(node), period)
+	d := netlist.New(name, node, lib, aocv.Default(node), period)
 	clk := d.AddNet()
 	if err := d.SetClockRoot(clk); err != nil {
 		return nil, nil, err
@@ -143,7 +156,7 @@ func Chain(n int, pitch float64, node int, period float64) (*netlist.Design, []i
 	if err != nil {
 		return nil, nil, err
 	}
-	inv, err := lib.Pick(cells.Inv, 1)
+	gate, err := lib.Pick(kind, 1)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -156,7 +169,11 @@ func Chain(n int, pitch float64, node int, period float64) (*netlist.Design, []i
 	ids := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		out := d.AddNet()
-		g, err := d.AddGate(inv, float64(i+1)*pitch, 0, []int{cur}, out)
+		ins := make([]int, kind.Inputs())
+		for p := range ins {
+			ins[p] = cur // every pin on the previous stage's net
+		}
+		g, err := d.AddGate(gate, float64(i+1)*pitch, 0, ins, out)
 		if err != nil {
 			return nil, nil, err
 		}

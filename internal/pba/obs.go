@@ -11,4 +11,10 @@ var (
 	obsEndpointsSwept  = obs.NewCounter("pba.endpoints.swept")
 	obsRetimes         = obs.NewCounter("pba.retimes")
 	obsFanoutGauge     = obs.NewGauge("pba.last.endpoint_fanout")
+
+	// Search volume: non-flip-flop states popped and expanded, and emitted
+	// paths that are pin-parallel copies (every copy of a collapsed suffix
+	// beyond its first).
+	obsStatesExpanded   = obs.NewCounter("pba.states.expanded")
+	obsPathsPinParallel = obs.NewCounter("pba.paths.pin_parallel")
 )

@@ -8,6 +8,11 @@
 // timing graph: paths pop in exactly descending GBA-arrival order, so the
 // k worst GBA-slack paths of an endpoint come out first. The critical-path
 // selection schemes of §3.2 are built on top of this in internal/pathsel.
+//
+// Paths are counted per fanin edge, so a gate that reads one net on several
+// input pins multiplies the paths through it. The search expands each
+// distinct driver once and carries that multiplicity, emitting the copies
+// together (see KWorst); the output equals a per-edge search's.
 package pba
 
 import (
@@ -18,6 +23,7 @@ import (
 
 	"mgba/internal/engine"
 	"mgba/internal/faultinject"
+	"mgba/internal/graph"
 	"mgba/internal/netlist"
 	"mgba/internal/par"
 	"mgba/internal/sta"
@@ -146,9 +152,13 @@ func (a *Analyzer) Retime(p *Path) *Timing {
 
 // searchState is a partial path suffix during backward best-first search:
 // everything from inst's output pin to the endpoint's D pin is fixed and
-// costs tail picoseconds under GBA.
+// costs tail picoseconds under GBA. One state stands for mult pin-parallel
+// copies of the suffix: a gate reading the same driver net on several input
+// pins has several fanin edges from it, and every choice of edge yields the
+// same cell sequence with the same delays.
 type searchState struct {
 	inst   int
+	mult   int // pin-parallel copies of this suffix, saturated at k
 	tail   float64
 	parent *searchState // towards the endpoint
 	bound  float64      // ArrivalOut[inst] + tail: exact max completion
@@ -224,6 +234,19 @@ func putScratch(sc *enumScratch) {
 // The bound function ArrivalOut[v] + tail is exact for GBA delays, so every
 // heap pop whose head is a flip-flop completes a genuine next-worst path;
 // the enumeration order is exact, not heuristic.
+//
+// Paths are enumerated per fanin edge, and a gate reading one driver net on
+// several input pins has several fanin edges from that driver, so the
+// copies of a suffix multiply with every such gate along it. The search
+// expands each distinct driver once and carries the copy count as the
+// state's multiplicity: the product of the per-gate edge counts from the
+// same driver along the suffix, saturated at k. Copies of a suffix have
+// bit-identical tails and bounds, so a per-edge search pops them back to
+// back; emitting min(mult, k-len(out)) separate but equal Paths when a
+// flip-flop state pops returns the per-edge sequence without first walking
+// the exponential plateau of equal-bound states. (Only a different path
+// with a bit-identical arrival could interleave with the copies there;
+// TestKWorstMatchesPerPinExpansion pins the equality on every preset.)
 func (a *Analyzer) KWorst(captureIdx, k int, stopAtSlack *float64) []*Path {
 	sc := getScratch()
 	out := a.kWorst(sc, captureIdx, k, stopAtSlack)
@@ -239,17 +262,10 @@ func (a *Analyzer) kWorst(sc *enumScratch, captureIdx, k int, stopAtSlack *float
 	budget := a.Budget(captureIdx)
 
 	h := &sc.heap
-	for _, e := range r.G.Fanin(ffID) {
-		s := sc.arena.alloc()
-		*s = searchState{
-			inst: int(e.From),
-			tail: r.WireDelay[e.From],
-		}
-		s.bound = r.ArrivalOut[e.From] + s.tail
-		heap.Push(h, s)
-	}
+	sc.pushFanin(r, r.G.Fanin(ffID), nil, k)
 	gbaCredit := r.GBACRPR[captureIdx]
 	var out []*Path
+	var expanded, pinParallel int64
 	for h.Len() > 0 && len(out) < k {
 		s := heap.Pop(h).(*searchState)
 		in := d.Instances[s.inst]
@@ -259,35 +275,68 @@ func (a *Analyzer) kWorst(sc *enumScratch, captureIdx, k int, stopAtSlack *float
 			if stopAtSlack != nil && slack >= *stopAtSlack {
 				break // everything still enqueued is at least this good
 			}
-			cells := []int{s.inst}
-			for st := s.parent; st != nil; st = st.parent {
-				cells = append(cells, st.inst)
+			n := min(s.mult, k-len(out))
+			for c := 0; c < n; c++ {
+				// Each copy owns its Cells, built as a per-edge pop built
+				// them, so the pointer-form population keeps its footprint.
+				cells := []int{s.inst}
+				for st := s.parent; st != nil; st = st.parent {
+					cells = append(cells, st.inst)
+				}
+				out = append(out, &Path{
+					Launch:     s.inst,
+					Capture:    ffID,
+					Cells:      cells,
+					GBAArrival: arrival,
+					GBASlack:   slack,
+				})
 			}
-			out = append(out, &Path{
-				Launch:     s.inst,
-				Capture:    ffID,
-				Cells:      cells,
-				GBAArrival: arrival,
-				GBASlack:   slack,
-			})
+			pinParallel += int64(n - 1)
 			continue
 		}
-		for _, e := range r.G.Fanin(s.inst) {
-			ns := sc.arena.alloc()
-			*ns = searchState{
-				inst:   int(e.From),
-				tail:   s.tail + r.CellDelay[s.inst] + r.WireDelay[e.From],
-				parent: s,
-			}
-			ns.bound = r.ArrivalOut[e.From] + ns.tail
-			heap.Push(h, ns)
-		}
+		expanded++
+		sc.pushFanin(r, r.G.Fanin(s.inst), s, k)
 	}
 	sc.heap = sc.heap[:0]
 	sc.arena.reset()
 	obsEndpointsSwept.Inc()
 	obsPathsEnumerated.Add(int64(len(out)))
+	obsStatesExpanded.Add(expanded)
+	obsPathsPinParallel.Add(pinParallel)
 	return out
+}
+
+// pushFanin pushes one state per distinct driver in fanin (the fanin of
+// parent.inst, or of the endpoint when parent is nil), in first-occurrence
+// order. A driver reached through c edges carries c times the parent's
+// multiplicity, saturated at k. Fanin is a handful of pins, so the
+// quadratic duplicate scan is cheaper than any set.
+func (sc *enumScratch) pushFanin(r *sta.Result, fanin []graph.Edge, parent *searchState, k int) {
+	for i, e := range fanin {
+		copies := 0
+		for j, f := range fanin {
+			if f.From != e.From {
+				continue
+			}
+			if j < i {
+				copies = 0 // driver already pushed at its first edge
+				break
+			}
+			copies++
+		}
+		if copies == 0 {
+			continue
+		}
+		mult, tail := copies, r.WireDelay[e.From]
+		if parent != nil {
+			mult *= parent.mult
+			tail = parent.tail + r.CellDelay[parent.inst] + r.WireDelay[e.From]
+		}
+		s := sc.arena.alloc()
+		*s = searchState{inst: int(e.From), mult: min(mult, k), tail: tail, parent: parent}
+		s.bound = r.ArrivalOut[e.From] + tail
+		heap.Push(&sc.heap, s)
+	}
 }
 
 // EndpointIndices returns the D.FFs positions of every constrained
