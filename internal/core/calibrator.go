@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mgba/internal/engine"
@@ -43,32 +44,25 @@ import (
 // results remain valid.
 type Calibrator struct {
 	sess *engine.Session
-	cfg  sta.Config
 	opt  Options
-	warm []float64 // per-instance weights seeding the next solve
+	pair ViewPair
 
-	// The bound view pair: cheap produces the baseline the selection is
-	// enumerated on and the Eq. (9) rows; golden produces the fit targets.
-	pair   ViewPair
-	cheap  CheapView
-	golden GoldenProvider
-
-	// corners holds the extra (non-selection) corners of a multi-corner
-	// calibration, each with its own bound view pair instances; empty for
-	// a single-corner calibrator. The calibrator's own cfg/cheap/golden
-	// are the selection corner (Options.Corners[0]).
+	// corners holds one state per analysis corner, each with its own bound
+	// view pair instances. corners[0] is the selection corner
+	// (Options.Corners[0], or the plain config without a corner set): the
+	// selection is enumerated on its baseline and its fit is the model's
+	// own. A single-corner calibrator has only corners[0].
 	corners []*cornerState
 
 	// Cache of the last healthy calibration; eps == nil means no cache.
-	gba      *sta.Result // cached baseline, advanced in place via Update
+	// Each corner holds its cached baseline and retimings.
 	mgba     *sta.Result // private weighted re-analysis, advanced via Update
 	mweights []float64   // weights mgba was last evaluated under
 	oneShot  bool        // throwaway calibrator: skip the weighted cache
 	eps      []int       // tracked endpoints: D.FFs positions, FF order
 	slotOf   map[int]int // D.FFs position -> index into eps/groups
 	groups   [][]*pba.Path
-	tgroups  [][]*pba.Timing
-	targets  [][]float64 // per slot, parallel to groups
+	targets  [][]float64 // selection corner, per slot, parallel to groups
 	guards   [][]float64
 	mat      *sparse.Matrix
 	cols     []int // column -> instance ID
@@ -101,7 +95,7 @@ func NewCalibrator(s *engine.Session, cfg sta.Config, opt Options) (*Calibrator,
 }
 
 // newBoundCalibrator is the shared constructor: validate, resolve the
-// pair, instantiate its views on the session.
+// pair, instantiate its views on the session for every corner.
 func newBoundCalibrator(s *engine.Session, cfg sta.Config, opt Options, oneShot bool) (*Calibrator, error) {
 	if err := validateOptions(cfg, opt); err != nil {
 		return nil, err
@@ -115,45 +109,33 @@ func newBoundCalibrator(s *engine.Session, cfg sta.Config, opt Options, oneShot 
 		// alone; force the exact enforcement the pair declares it needs.
 		opt.StrictSafety = true
 	}
-	// Derive every corner's analysis config once, up front: the scaled
-	// derate tables are pointer-stable for the calibrator's lifetime, so
-	// the engine's clock-state cache hits on every run of every corner.
-	var cornerCfgs []sta.Config
-	if len(opt.Corners) > 0 {
-		cornerCfgs = make([]sta.Config, len(opt.Corners))
-		for i, spec := range opt.Corners {
-			ccfg, err := cornerConfig(cfg, s.G.D, spec)
-			if err != nil {
-				return nil, err
-			}
-			cornerCfgs[i] = ccfg
+	if len(opt.Corners) > 1 {
+		// With several corners the soft penalty cannot vouch for all of
+		// them; force the exact Eq. (5) enforcement on every fit.
+		opt.StrictSafety = true
+	}
+	specs := opt.Corners
+	if len(specs) == 0 {
+		// The identity spec: its config is cfg itself, so an N=1 set with
+		// the identity spec is the plain pipeline bit for bit.
+		specs = []CornerSpec{{}}
+	}
+	c := &Calibrator{sess: s, opt: opt, pair: vp, oneShot: oneShot}
+	for _, spec := range specs {
+		// Derive every corner's analysis config once, up front: the scaled
+		// derate tables are pointer-stable for the calibrator's lifetime,
+		// so the engine's clock-state cache hits on every run of every
+		// corner.
+		ccfg, err := cornerConfig(cfg, s.G.D, spec)
+		if err != nil {
+			return nil, err
 		}
-		// Corners[0] is the selection corner: the calibrator's own views
-		// run under it, so an N=1 set with the identity spec is the plain
-		// single-corner pipeline bit for bit.
-		cfg = cornerCfgs[0]
-		if len(opt.Corners) > 1 {
-			// With several corners the soft penalty cannot vouch for all of
-			// them; force the exact Eq. (5) enforcement on every fit.
-			opt.StrictSafety = true
-		}
-	}
-	cheap, golden, err := vp.Bind(s, cfg, opt)
-	if err != nil {
-		return nil, err
-	}
-	c := &Calibrator{
-		sess: s, cfg: cfg, opt: opt, warm: opt.WarmWeights,
-		pair: vp, cheap: cheap, golden: golden, oneShot: oneShot,
-	}
-	for i := 1; i < len(cornerCfgs); i++ {
-		ccheap, cgolden, err := vp.Bind(s, cornerCfgs[i], opt)
+		cheap, golden, err := vp.Bind(s, ccfg, opt)
 		if err != nil {
 			return nil, err
 		}
 		c.corners = append(c.corners, &cornerState{
-			spec: opt.Corners[i], cfg: cornerCfgs[i],
-			cheap: ccheap, golden: cgolden, warm: opt.WarmWeights,
+			spec: spec, cfg: ccfg, cheap: cheap, golden: golden, warm: opt.WarmWeights,
 		})
 	}
 	return c, nil
@@ -170,10 +152,10 @@ func (c *Calibrator) Stats() CalibratorStats { return c.stats }
 // (the closure flow uses it to carry weights across a session rebuild).
 func (c *Calibrator) SetWarmWeights(w []float64) {
 	if w == nil {
-		c.warm = nil
+		c.corners[0].warm = nil
 		return
 	}
-	c.warm = append([]float64(nil), w...)
+	c.corners[0].warm = append([]float64(nil), w...)
 }
 
 // Rebind moves the calibrator to a new engine.Session after a structural
@@ -189,7 +171,7 @@ func (c *Calibrator) SetWarmWeights(w []float64) {
 // same prefix-extension column growth as any new path gate; the warm
 // start needs no padding for them, since the solve seeds an instance past
 // the warm weights at the neutral weight 1. The cached
-// baselines are tied to the old session's graph, so the GBA baseline is
+// baselines are tied to the old session's graph, so the GBA baselines are
 // re-run on the new session and the private weighted baseline is dropped
 // (the next Recalibrate re-derives it).
 //
@@ -202,23 +184,13 @@ func (c *Calibrator) Rebind(s *engine.Session) error {
 	}
 	grows := c.sess != nil && s.G.Extends(c.sess.G)
 	c.sess = s
-	c.cheap.Rebind(s)
-	if err := c.golden.Rebind(s); err != nil {
-		return err
-	}
-	if c.gba != nil {
-		c.gba.Release()
-		c.gba = nil
-	}
 	for _, cs := range c.corners {
 		cs.cheap.Rebind(s)
 		if err := cs.golden.Rebind(s); err != nil {
 			return err
 		}
-		if cs.gba != nil {
-			cs.gba.Release()
-			cs.gba = nil
-		}
+		cs.gba.Release()
+		cs.gba = nil
 	}
 	if !grows {
 		c.Invalidate()
@@ -230,7 +202,6 @@ func (c *Calibrator) Rebind(s *engine.Session) error {
 	c.mweights = nil
 	if c.eps != nil {
 		obsCalibRebinds.Inc()
-		c.gba = c.cheap.Run()
 		for _, cs := range c.corners {
 			cs.gba = cs.cheap.Run()
 		}
@@ -239,26 +210,34 @@ func (c *Calibrator) Rebind(s *engine.Session) error {
 }
 
 // Invalidate drops every cached artifact, forcing the next call cold. The
-// cached baseline is not released here — the last returned Model may still
-// reference it. The weighted cache is private (callers only ever receive
-// clones of it), so its buffers go straight back to the session pool.
+// selection corner's cached baseline is not released here — the last
+// returned Model may still reference it. The other corners' baselines and
+// the weighted cache are private (callers only ever receive clones or
+// fresh runs), so their buffers go straight back to the session pool.
 func (c *Calibrator) Invalidate() {
-	c.gba = nil
 	c.mgba.Release()
-	c.mgba = nil
-	c.mweights = nil
-	c.eps = nil
-	c.slotOf = nil
-	c.groups = nil
-	c.tgroups = nil
-	c.targets = nil
-	c.guards = nil
-	c.mat = nil
-	c.cols = nil
-	for _, cs := range c.corners {
-		cs.tgroups = nil
-		cs.flat = nil
+	c.mgba, c.mweights = nil, nil
+	c.eps, c.slotOf, c.groups = nil, nil, nil
+	c.targets, c.guards, c.mat, c.cols = nil, nil, nil, nil
+	for i, cs := range c.corners {
+		if i > 0 {
+			cs.gba.Release()
+		}
+		cs.gba, cs.tgroups = nil, nil
 	}
+}
+
+// cached reports whether Recalibrate can run incrementally.
+func (c *Calibrator) cached() bool {
+	if c.eps == nil {
+		return false
+	}
+	for _, cs := range c.corners {
+		if cs.gba == nil || cs.tgroups == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // Calibrate runs a full cold calibration and (re)fills the cache.
@@ -266,23 +245,35 @@ func (c *Calibrator) Calibrate(ctx context.Context) (*Model, error) {
 	return c.cold(ctx, nil, coldRequested)
 }
 
-// cold is the full pipeline — identical to the historical one-shot
-// calibrate — plus cache management. sel non-nil substitutes an explicit
-// selection (the §3.2 scheme study), which cannot be cached because its
-// paths are not grouped per endpoint. why is counted and emitted as the
-// reason the cold pipeline ran.
+// errCancelled aborts the cold retiming loop on context cancellation; the
+// caller abandons the model.
+var errCancelled = errors.New("core: calibration cancelled")
+
+// cold is the full pipeline plus cache management; why is counted and
+// emitted as the reason it ran. Endpoints are enumerated through
+// pathsel.EnumerateStream — in shards of Options.StreamShard, or as one
+// shard, which is exactly pathsel.Enumerate — and every path is retimed
+// under every corner's golden view and appended as one row of every
+// corner's Eq. (9) system on the spot, columns numbered by first
+// occurrence. A shard is then either kept as pointer groups (the model's
+// Selection and Timings, and the incremental cache) or, streamed, encoded
+// into the model's slab Bank, after which its pointer paths are garbage:
+// peak memory is one shard plus the assembled systems. Both forms run
+// each corner's per-path computations in the same order, so they are
+// bit-identical at every Parallelism and shard size.
+//
+// Unstreamed, the whole population is one shard, so a binding MaxPaths cap
+// is applied as the round-robin truncation of pathsel.Population.TopK
+// before retiming; the truncated selection is not grouped per endpoint and
+// is not cached. Streamed, a population over the cap is an error. sel
+// non-nil substitutes an explicit selection (the §3.2 scheme study), fed
+// through the same loop as one uncached group.
 func (c *Calibrator) cold(ctx context.Context, sel *pathsel.Selection, why coldReason) (*Model, error) {
-	if c.gba != nil {
+	if c.eps != nil {
 		// The previous cached baseline belongs to this calibrator alone
 		// (callers were handed it inside now-superseded models); recycle
 		// its buffers before running a fresh analysis.
-		c.gba.Release()
-	}
-	for _, cs := range c.corners {
-		if cs.gba != nil {
-			cs.gba.Release()
-			cs.gba = nil
-		}
+		c.corners[0].gba.Release()
 	}
 	c.Invalidate()
 	c.coldWhy = ""
@@ -291,146 +282,289 @@ func (c *Calibrator) cold(ctx context.Context, sel *pathsel.Selection, why coldR
 	why.note()
 	sp := obs.StartSpan("calibrate.cold")
 	defer sp.End()
-	m := &Model{G: c.sess.G, Session: c.sess, Cfg: c.cfg, Opt: c.opt, Pair: c.pair.Name(), SafetyScale: 1}
-	m.Opt.WarmWeights = c.warm
-	m.cheap = c.cheap
+	m := c.newModel(c.corners[0])
 	// One baseline timing run is the minimum for a usable model and the
 	// atomic unit of cancellation: it always runs to completion.
-	m.GBA = c.cheap.Run()
-	m.Weights = identity(len(m.G.D.Instances))
+	m.GBA = c.corners[0].cheap.Run()
 	if cancelled(ctx) {
 		return c.finish(m.abandon("cancelled before path selection")), nil
 	}
-	// Re-derive the golden view from the current design state: a cold
-	// calibration never trusts an incremental mirror (the default pair's
-	// provider has nothing to derive; the routed pair rebuilds its twin).
-	if err := c.golden.Refresh(); err != nil {
-		return nil, err
-	}
-	if sel == nil && c.opt.StreamShard > 0 {
-		return c.coldStream(ctx, sp, m)
-	}
-	an := pba.NewAnalyzer(m.GBA)
 	spEnum := sp.Child("enumerate")
-	var pop *pathsel.Population
+	defer spEnum.End()
+	cols := &columns{of: map[int]int{}}
+	timers := make([]PathTimer, len(c.corners))
+	systems := make([]*eqSystem, len(c.corners))
+	for i, cs := range c.corners {
+		base := m.GBA
+		if i > 0 {
+			cs.gba = cs.cheap.Run()
+			base = cs.gba
+		}
+		// Re-derive the golden view from the current design state: a cold
+		// calibration never trusts an incremental mirror (the default
+		// pair's provider has nothing to derive; the routed pair rebuilds
+		// its twin).
+		if err := cs.golden.Refresh(); err != nil {
+			return nil, err
+		}
+		t, err := cs.golden.Timer(base)
+		if err != nil {
+			return nil, err
+		}
+		timers[i], systems[i] = t, c.newSystem(cs, base, cols, 0)
+	}
+
+	streamed := sel == nil && c.opt.StreamShard > 0
+	cacheable := sel == nil && !streamed
+	var bank *pathsel.Bank
+	if streamed {
+		bank = pathsel.NewBank(0)
+	}
+	var eps []int
+	var groups [][]*pba.Path
+	timings := make([][]*pba.Timing, len(c.corners)) // per corner, row order; unstreamed only
+	rows, retimed := 0, 0
+	keep := func(sh *pathsel.Shard) error {
+		n := 0
+		for _, g := range sh.Groups {
+			n += len(g)
+		}
+		if sel == nil && c.opt.MaxPaths > 0 && rows+n > c.opt.MaxPaths {
+			if streamed {
+				// Rejected before burning golden retimes on a shard that can
+				// only end in the same error.
+				return fmt.Errorf("core: streamed population exceeds MaxPaths (%d > %d); raise MaxPaths or lower K — streaming cannot reproduce the round-robin truncation", rows+n, c.opt.MaxPaths)
+			}
+			top := pathsel.FromGroups(sh.Endpoints, sh.Groups, c.opt.K).TopK(c.opt.K, c.opt.MaxPaths)
+			sh = &pathsel.Shard{Groups: [][]*pba.Path{top.Paths}}
+			n, cacheable = len(top.Paths), false
+		}
+		// Corner-major, so each retiming sweep stays on one corner's
+		// baseline; the selection corner's sweep numbers the columns.
+		for i, s := range systems {
+			s.grow(n)
+			if !streamed {
+				timings[i] = slices.Grow(timings[i], n)
+			}
+			for _, g := range sh.Groups {
+				for _, p := range g {
+					if retimed%256 == 0 && cancelled(ctx) {
+						return errCancelled
+					}
+					retimed++
+					if i == 0 {
+						cols.add(p)
+					}
+					tm := timers[i].Retime(p)
+					if err := s.add(p, tm); err != nil {
+						return err
+					}
+					if !streamed {
+						timings[i] = append(timings[i], tm)
+					}
+				}
+			}
+		}
+		rows += n
+		if streamed {
+			return bank.AppendShard(sh)
+		}
+		eps = append(eps, sh.Endpoints...)
+		groups = append(groups, sh.Groups...)
+		return nil
+	}
+	var err error
 	if sel != nil {
-		m.Selection = sel
+		err = keep(&pathsel.Shard{Groups: [][]*pba.Path{sel.Paths}})
 	} else {
-		pop = pathsel.Enumerate(an, c.opt.K)
-		m.Selection = pop.TopK(c.opt.K, c.opt.MaxPaths)
-	}
-	if len(m.Selection.Paths) == 0 {
-		spEnum.End()
-		// Nothing violates: mGBA degenerates to the cheap baseline.
-		m.MGBA = m.GBA
-		if c.multiCorner() {
-			c.degenerateCorners(m)
-			c.mergeWorst(m)
-		}
-		return c.finish(m), nil
-	}
-	timer, err := c.golden.Timer(m.GBA)
-	if err != nil {
-		spEnum.End()
-		return nil, err
-	}
-	m.Timings = make([]*pba.Timing, len(m.Selection.Paths))
-	for i, p := range m.Selection.Paths {
-		if i%256 == 0 && cancelled(ctx) {
-			spEnum.End()
-			return c.finish(m.abandon("cancelled during golden retiming")), nil
-		}
-		m.Timings[i] = timer.Retime(p)
+		err = pathsel.EnumerateStream(pba.NewAnalyzer(m.GBA), c.opt.K, c.opt.StreamShard, keep)
 	}
 	spEnum.End()
-	spAsm := sp.Child("assemble")
-	if err := m.assemble(); err != nil {
-		spAsm.End()
+	if errors.Is(err, errCancelled) {
+		return c.finish(m.abandon("cancelled during golden retiming")), nil
+	}
+	if err != nil {
 		return nil, err
 	}
-	spAsm.End()
-	spSolve := sp.Child("solve")
-	if !(c.multiCorner() && c.opt.JointFit) {
-		// Under a joint fit the selection corner's rows are solved inside
-		// the stacked system instead of standalone.
-		if err := m.solve(ctx); err != nil {
-			spSolve.End()
+	switch {
+	case sel != nil:
+		m.Selection = sel
+	case streamed:
+		m.Selection = &pathsel.Selection{Scheme: "per-endpoint-top-k-streamed"}
+	default:
+		m.Selection = &pathsel.Selection{Scheme: "per-endpoint-top-k", Paths: slices.Concat(groups...)}
+	}
+	m.Timings = timings[0]
+	if rows == 0 {
+		// Nothing violates: mGBA degenerates to the cheap baseline.
+		return c.degenerate(m), nil
+	}
+	m.Columns = cols.ids
+	if streamed {
+		m.Bank, m.GoldenSlack = bank, systems[0].golden
+	}
+	spAsm := sp.Child("assemble")
+	for _, s := range systems {
+		if err := s.build(); err != nil {
+			spAsm.End()
 			return nil, err
 		}
 	}
-	if c.multiCorner() {
-		if err := c.calibrateCorners(ctx, m); err != nil {
-			spSolve.End()
-			if err == errCornersCancelled {
-				return c.finish(m.abandon("cancelled during golden retiming")), nil
-			}
-			return nil, err
-		}
+	spAsm.End()
+	m.Problem = systems[0].prob
+	if err := c.fit(ctx, sp, m, systems[1:], nil); err != nil {
+		return nil, err
+	}
+	if cacheable && !m.Partial && m.Fault == "" {
+		c.fillCache(m, eps, groups, timings)
+	}
+	return m, nil
+}
+
+// newModel starts a model of the current design state on corner cs,
+// seeded with the corner's warm start.
+func (c *Calibrator) newModel(cs *cornerState) *Model {
+	m := &Model{G: c.sess.G, Session: c.sess, Cfg: cs.cfg, Opt: c.opt, Pair: c.pair.Name(), SafetyScale: 1}
+	m.Opt.WarmWeights = cs.warm
+	m.Weights = identity(len(m.G.D.Instances))
+	return m
+}
+
+// fit is the tail cold and incremental calibration share: solve the
+// selection corner's system (inside the stacked system under a joint
+// fit), fit the extra corners' systems, validate the fitted weights and
+// merge the worst-corner view. dirty is the incremental call's dirty set
+// (nil when cold), over which a cached weighted baseline advances.
+func (c *Calibrator) fit(ctx context.Context, sp *obs.Span, m *Model, extras []*eqSystem, dirty []int) error {
+	spSolve := sp.Child("solve")
+	var err error
+	if c.opt.JointFit && len(extras) > 0 {
+		err = c.jointFit(ctx, m, extras)
+	} else {
+		err = m.solve(ctx)
+	}
+	if err == nil {
+		err = c.fitCorners(ctx, m, extras)
 	}
 	spSolve.End()
+	if err != nil {
+		return err
+	}
 	spVal := sp.Child("validate")
-	wcfg := c.cfg
-	wcfg.Weights = m.Weights
-	m.MGBA = c.sess.Run(wcfg)
+	m.MGBA = c.validate(m, dirty)
 	spVal.End()
 	c.mergeWorst(m)
-	// Fill the cache only when the model is trustworthy and the selection
-	// is the plain endpoint-major concatenation (an mCap-truncated
-	// round-robin selection cannot be patched per endpoint).
-	if pop != nil && !m.Partial && m.Fault == "" && len(m.Selection.Paths) == pop.Total() {
-		c.fillCache(m, pop)
-		c.fillCornerCache()
-		if !c.oneShot {
-			c.mgba = m.MGBA.Clone()
-			c.mweights = append([]float64(nil), m.Weights...)
+	if m.Partial || m.Fault != "" {
+		// A cut-short or faulted fit may have left the patched system in a
+		// state we cannot vouch for; force the next calibration cold.
+		c.Invalidate()
+	}
+	c.finish(m)
+	return nil
+}
+
+// validate re-analyzes the selection corner under the fitted weights.
+// With a cached weighted baseline it advances that instead of re-running
+// the full weighted analysis: the only instances whose weighted view
+// changed are the dirty ones and those whose weight moved since the cached
+// evaluation, so Update over their union is bitwise equal to a fresh Run.
+// The caller gets an independent clone; the original stays with the
+// calibrator for the next round.
+func (c *Calibrator) validate(m *Model, dirty []int) *sta.Result {
+	wcfg := c.corners[0].cfg
+	wcfg.Weights = m.Weights
+	if c.mgba == nil {
+		return c.sess.Run(wcfg)
+	}
+	wdirty := append([]int(nil), dirty...)
+	for i, w := range c.mweights {
+		if m.Weights[i] != w {
+			wdirty = append(wdirty, i)
 		}
 	}
-	return c.finish(m), nil
+	c.mgba.Cfg = wcfg
+	c.mgba.Update(wdirty)
+	copy(c.mweights, m.Weights)
+	return c.mgba.Clone()
+}
+
+// degenerate finishes a model with nothing to calibrate on: every
+// corner's mGBA view is its own unweighted cheap baseline, and the cache
+// is dropped — an empty matrix is not worth patching back to life.
+func (c *Calibrator) degenerate(m *Model) *Model {
+	m.MGBA = m.GBA
+	if len(c.corners) > 1 {
+		m.Corners = make([]*CornerFit, len(c.corners))
+		for i, cs := range c.corners[1:] {
+			// The fit takes the corner's baseline over outright: callers
+			// may Release it.
+			m.Corners[i+1] = &CornerFit{
+				Spec: cs.spec, Cfg: cs.cfg,
+				Weights: identity(len(m.G.D.Instances)), SafetyScale: 1,
+				MGBA: cs.gba,
+			}
+			cs.gba = nil
+		}
+		c.mergeWorst(m)
+	}
+	c.Invalidate()
+	return c.finish(m)
 }
 
 // finish records the model's weights as the next solve's warm start —
 // exactly the closure flow's historical behavior of feeding each
 // calibration's weights into the next via Options.WarmWeights.
 func (c *Calibrator) finish(m *Model) *Model {
-	c.warm = m.Weights
+	c.corners[0].warm = m.Weights
 	return m
 }
 
-// fillCache adopts a cold model's intermediates as the incremental cache,
-// regrouping the flat timing/target/guard vectors per endpoint.
-func (c *Calibrator) fillCache(m *Model, pop *pathsel.Population) {
-	c.gba = m.GBA
-	c.eps = pop.Endpoints()
-	c.groups = pop.Groups()
-	c.slotOf = make(map[int]int, len(c.eps))
-	for i, fi := range c.eps {
+// fillCache adopts a healthy cold model's intermediates as the
+// incremental cache: the per-endpoint groups, every corner's retimings
+// regrouped per slot, the selection corner's per-slot targets and guards,
+// matrix, column map and baseline.
+func (c *Calibrator) fillCache(m *Model, eps []int, groups [][]*pba.Path, timings [][]*pba.Timing) {
+	c.eps, c.groups = eps, groups
+	c.slotOf = make(map[int]int, len(eps))
+	for i, fi := range eps {
 		c.slotOf[fi] = i
 	}
-	c.tgroups = make([][]*pba.Timing, len(c.groups))
-	c.targets = make([][]float64, len(c.groups))
-	c.guards = make([][]float64, len(c.groups))
+	c.targets = bySlot(m.Problem.B, groups)
+	c.guards = bySlot(m.Problem.Guard, groups)
+	for i, cs := range c.corners {
+		cs.tgroups = bySlot(timings[i], groups)
+	}
+	c.corners[0].gba = m.GBA
+	c.mat, c.cols = m.Problem.A, m.Columns
+	if !c.oneShot {
+		c.mgba = m.MGBA.Clone()
+		c.mweights = append([]float64(nil), m.Weights...)
+	}
+}
+
+// bySlot cuts a row-order slice into per-slot views, one per group.
+func bySlot[T any](flat []T, groups [][]*pba.Path) [][]T {
+	out := make([][]T, len(groups))
 	off := 0
-	for s, g := range c.groups {
+	for s, g := range groups {
 		n := len(g)
-		c.tgroups[s] = m.Timings[off : off+n : off+n]
-		c.targets[s] = m.Problem.B[off : off+n : off+n]
-		c.guards[s] = m.Problem.Guard[off : off+n : off+n]
+		out[s] = flat[off : off+n : off+n]
 		off += n
 	}
-	c.mat = m.Problem.A
-	c.cols = m.Columns
+	return out
 }
 
 // Recalibrate re-fits the weights after the given instances changed (gate
 // or flip-flop resizes; anything that left the graph's connectivity and
 // clock network intact). With a valid cache it runs the incremental path —
-// update the baseline over the dirty cone, re-enumerate and retime only
-// the affected endpoints, patch their rows of A, warm-start the solve —
-// and returns a model bit-identical to a cold Calibrate of the same
-// state. Without one (first call, after a fault, after Invalidate) it
-// falls back to a cold calibration.
+// update the baselines over the dirty cone, re-enumerate the affected
+// endpoints and retime them under every corner, patch their rows of A,
+// warm-start the solve — and returns a model bit-identical to a cold
+// Calibrate of the same state. Without one (first call, after a fault,
+// after Invalidate) it falls back to a cold calibration, and is counted
+// as cold only.
 func (c *Calibrator) Recalibrate(ctx context.Context, dirty []int) (*Model, error) {
-	if c.eps == nil || c.gba == nil {
+	if !c.cached() {
 		why := c.coldWhy
 		if why == "" {
 			why = coldNoCache
@@ -448,26 +582,19 @@ func (c *Calibrator) Recalibrate(ctx context.Context, dirty []int) (*Model, erro
 			return c.cold(ctx, nil, coldClockInstance)
 		}
 	}
-	c.stats.Incremental++
-	obsCalibIncremental.Inc()
 	sp := obs.StartSpan("calibrate.recalibrate")
 	defer sp.End()
-	m := &Model{G: c.sess.G, Session: c.sess, Cfg: c.cfg, Opt: c.opt, Pair: c.pair.Name(), SafetyScale: 1}
-	m.Opt.WarmWeights = c.warm
-	c.gba.Update(dirty)
-	if err := c.golden.Update(dirty); err != nil {
-		// The incremental mirror failed; a cold calibration re-derives the
-		// golden view from scratch instead.
-		return c.cold(ctx, nil, coldGoldenUpdate)
+	for _, cs := range c.corners {
+		cs.gba.Update(dirty)
+		if err := cs.golden.Update(dirty); err != nil {
+			// The incremental mirror failed; a cold calibration re-derives
+			// the golden view from scratch instead.
+			sp.End()
+			return c.cold(ctx, nil, coldGoldenUpdate)
+		}
 	}
-	m.GBA = c.gba
-	m.Weights = identity(len(m.G.D.Instances))
-	m.cheap = c.cheap
-	if cancelled(ctx) {
-		c.Invalidate()
-		return c.finish(m.abandon("cancelled before path selection")), nil
-	}
-	an := pba.NewAnalyzer(m.GBA)
+	m := c.newModel(c.corners[0])
+	m.GBA = c.corners[0].gba
 	spEnum := sp.Child("enumerate")
 	var slots []int
 	for _, fi := range c.sess.FanoutEndpoints(dirty) {
@@ -481,249 +608,162 @@ func (c *Calibrator) Recalibrate(ctx context.Context, dirty []int) (*Model, erro
 		affected[i] = c.eps[s]
 	}
 	zero := 0.0
-	newGroups := an.KWorstAll(affected, c.opt.K, &zero, c.cfg.Parallelism)
+	fresh := pba.NewAnalyzer(m.GBA).KWorstAll(affected, c.opt.K, &zero, m.Cfg.Parallelism)
 	c.stats.EndpointsReenumerated += len(affected)
 	obsEndpointsReenum.Add(int64(len(affected)))
+	total := c.mat.Rows()
+	for i, s := range slots {
+		total += len(fresh[i]) - len(c.groups[s])
+	}
+	if c.opt.MaxPaths > 0 && total > c.opt.MaxPaths {
+		// The cap now binds: the cold selection would be a round-robin
+		// truncation, which the per-endpoint cache cannot reproduce.
+		spEnum.End()
+		sp.End()
+		return c.cold(ctx, nil, coldPathCap)
+	}
+	// Past the last cold fallback: this call is incremental.
+	c.stats.Incremental++
+	obsCalibIncremental.Inc()
 	if cancelled(ctx) {
 		spEnum.End()
 		c.Invalidate()
 		return c.finish(m.abandon("cancelled before path selection")), nil
 	}
-	timer, err := c.golden.Timer(m.GBA)
-	if err != nil {
-		spEnum.End()
-		return nil, err
+	for i, s := range slots {
+		c.groups[s] = fresh[i]
 	}
-	newTimings := make([][]*pba.Timing, len(newGroups))
+	m.Selection = &pathsel.Selection{Scheme: "per-endpoint-top-k"}
+	if total == 0 {
+		// All violations repaired.
+		spEnum.End()
+		return c.degenerate(m), nil
+	}
+	// Retime the re-enumerated slots under every corner's golden view.
+	// Clean slots' cached retimings are provably still exact: a dirty
+	// instance's fanout cone covers every endpoint whose paths could
+	// contain it.
 	retimed := 0
-	for i, g := range newGroups {
-		newTimings[i] = make([]*pba.Timing, len(g))
-		for j, p := range g {
-			if retimed%256 == 0 && cancelled(ctx) {
-				spEnum.End()
-				c.Invalidate()
-				return c.finish(m.abandon("cancelled during golden retiming")), nil
+	for _, cs := range c.corners {
+		timer, err := cs.golden.Timer(cs.gba)
+		if err != nil {
+			spEnum.End()
+			c.Invalidate()
+			return nil, err
+		}
+		for _, s := range slots {
+			tg := make([]*pba.Timing, len(c.groups[s]))
+			for j, p := range c.groups[s] {
+				if retimed%256 == 0 && cancelled(ctx) {
+					spEnum.End()
+					c.Invalidate()
+					return c.finish(m.abandon("cancelled during golden retiming")), nil
+				}
+				tg[j] = timer.Retime(p)
+				retimed++
 			}
-			newTimings[i][j] = timer.Retime(p)
-			retimed++
+			cs.tgroups[s] = tg
 		}
 	}
 	spEnum.End()
-	oldCounts := make([]int, len(c.groups))
-	for s, g := range c.groups {
-		oldCounts[s] = len(g)
-	}
-	for i, s := range slots {
-		c.groups[s] = newGroups[i]
-		c.tgroups[s] = newTimings[i]
-	}
-	total := 0
-	for _, g := range c.groups {
-		total += len(g)
-	}
-	if c.opt.MaxPaths > 0 && total > c.opt.MaxPaths {
-		// The cap now binds: the cold selection would be a round-robin
-		// truncation, which the per-endpoint cache cannot reproduce.
-		return c.cold(ctx, nil, coldPathCap)
-	}
 	spAsm := sp.Child("assemble")
-	newCols, colOf := c.columnMap()
-	if err := c.refreshRows(m, slots, oldCounts, newCols, colOf); err != nil {
-		spAsm.End()
-		return nil, err
-	}
-	c.cols = newCols
-	m.Columns = newCols
-	m.Selection = &pathsel.Selection{Scheme: "per-endpoint-top-k"}
-	for _, g := range c.groups {
-		m.Selection.Paths = append(m.Selection.Paths, g...)
-	}
-	for _, tg := range c.tgroups {
-		m.Timings = append(m.Timings, tg...)
-	}
-	if len(m.Selection.Paths) == 0 {
-		spAsm.End()
-		// All violations repaired: degenerate to GBA, and drop the cache —
-		// an empty matrix is not worth patching back to life.
-		m.MGBA = m.GBA
-		c.Invalidate()
-		if c.multiCorner() {
-			c.degenerateCorners(m)
-			c.mergeWorst(m)
+	cm := &columns{of: make(map[int]int)}
+	m.Selection.Paths = make([]*pba.Path, 0, total)
+	m.Timings = make([]*pba.Timing, 0, total)
+	for s, g := range c.groups {
+		for _, p := range g {
+			cm.add(p)
 		}
-		return c.finish(m), nil
+		m.Selection.Paths = append(m.Selection.Paths, g...)
+		m.Timings = append(m.Timings, c.corners[0].tgroups[s]...)
 	}
-	flatB := make([]float64, 0, total)
-	flatG := make([]float64, 0, total)
-	for s := range c.groups {
-		flatB = append(flatB, c.targets[s]...)
-		flatG = append(flatG, c.guards[s]...)
-	}
-	c.mat.SetParallelism(engine.Workers(c.cfg.Parallelism))
-	m.Problem = &solver.Problem{A: c.mat, B: flatB, Guard: flatG, Penalty: c.opt.Penalty}
-	if err := m.Problem.Validate(); err != nil {
-		spAsm.End()
-		return nil, err
+	m.Columns = cm.ids
+	var err error
+	m.Problem, err = c.refreshRows(m, slots, cm)
+	extras := make([]*eqSystem, len(c.corners)-1)
+	for i := 0; err == nil && i < len(extras); i++ {
+		extras[i], err = c.groupSystem(c.corners[i+1], cm, total)
 	}
 	spAsm.End()
-	spSolve := sp.Child("solve")
-	var cornerSystems []*cornerSystem
-	if c.multiCorner() {
-		var cerr error
-		cornerSystems, cerr = c.rebuildCornerSystems(ctx, m, slots, dirty)
-		var why coldReason
-		switch {
-		case cerr == nil:
-		case errors.As(cerr, &why):
-			spSolve.End()
-			return c.cold(ctx, nil, why)
-		case cerr == errCornersCancelled:
-			spSolve.End()
-			c.Invalidate()
-			return c.finish(m.abandon("cancelled during golden retiming")), nil
-		default:
-			spSolve.End()
-			return nil, cerr
-		}
+	if err != nil {
+		return nil, err
 	}
-	if !(c.multiCorner() && c.opt.JointFit) {
-		if err := m.solve(ctx); err != nil {
-			spSolve.End()
-			return nil, err
-		}
+	if err := c.fit(ctx, sp, m, extras, dirty); err != nil {
+		return nil, err
 	}
-	if c.multiCorner() {
-		if err := c.fitCorners(ctx, m, cornerSystems); err != nil {
-			spSolve.End()
-			return nil, err
-		}
-	}
-	spSolve.End()
-	spVal := sp.Child("validate")
-	defer spVal.End()
-	wcfg := c.cfg
-	wcfg.Weights = m.Weights
-	if c.mgba != nil {
-		// Advance the private weighted baseline instead of re-running the
-		// full weighted analysis: the only instances whose weighted view
-		// changed are the dirty ones and those whose weight moved since the
-		// cached evaluation, so Update over their union is bitwise equal to
-		// a fresh Run under wcfg. The caller gets an independent clone; the
-		// original stays with the calibrator for the next round.
-		wdirty := append([]int(nil), dirty...)
-		for i, w := range m.Weights[:n] {
-			if c.mweights[i] != w {
-				wdirty = append(wdirty, i)
-			}
-		}
-		c.mgba.Cfg = wcfg
-		c.mgba.Update(wdirty)
-		copy(c.mweights, m.Weights)
-		m.MGBA = c.mgba.Clone()
-	} else {
-		m.MGBA = c.sess.Run(wcfg)
-	}
-	c.mergeWorst(m)
-	if m.Partial || m.Fault != "" {
-		// A cut-short or faulted fit may have left the patched system in a
-		// state we cannot vouch for; force the next calibration cold.
-		c.Invalidate()
-	}
-	return c.finish(m), nil
+	return m, nil
 }
 
-// columnMap recomputes the column order from the cached selection: first
-// occurrence over paths in row order, exactly like a cold assemble.
-func (c *Calibrator) columnMap() ([]int, map[int]int) {
-	colOf := make(map[int]int)
-	var cols []int
-	for _, g := range c.groups {
-		for _, p := range g {
-			for _, cell := range p.Cells {
-				if _, ok := colOf[cell]; !ok {
-					colOf[cell] = len(cols)
-					cols = append(cols, cell)
-				}
+// groupSystem assembles corner cs's system over the cached groups from
+// the corner's cached retimings.
+func (c *Calibrator) groupSystem(cs *cornerState, cm *columns, rows int) (*eqSystem, error) {
+	sys := c.newSystem(cs, cs.gba, cm, rows)
+	for s, g := range c.groups {
+		for j, p := range g {
+			if err := sys.add(p, cs.tgroups[s][j]); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return cols, colOf
+	return sys, sys.build()
 }
 
-// refreshRows brings the cached matrix and per-slot target/guard vectors
-// up to date for the re-enumerated slots. When the new column order
-// extends the old one (the common case — new gates on dirty paths append
-// columns), only the dirty slots' rows are spliced in place; when columns
-// were reordered, the matrix is rebuilt from the cached rows, still
-// without touching clean endpoints' enumerations or retimings.
-func (c *Calibrator) refreshRows(m *Model, slots, oldCounts []int, newCols []int, colOf map[int]int) error {
-	prefixOK := len(newCols) >= len(c.cols)
-	if prefixOK {
-		for i, id := range c.cols {
-			if newCols[i] != id {
-				prefixOK = false
-				break
-			}
-		}
-	}
-	dirtySlot := make(map[int]bool, len(slots))
-	for _, s := range slots {
-		dirtySlot[s] = true
-		c.targets[s] = make([]float64, len(c.groups[s]))
-		c.guards[s] = make([]float64, len(c.groups[s]))
-	}
+// refreshRows brings the selection corner's cached matrix and per-slot
+// targets and guards up to date for the re-enumerated slots and returns
+// the patched system. When the new column order extends the old one (the
+// common case — new gates on dirty paths append columns), only the dirty
+// slots' rows are spliced in place; when columns were reordered, the
+// system is rebuilt from the cached retimings, still without touching
+// clean endpoints' enumerations or retimings.
+func (c *Calibrator) refreshRows(m *Model, slots []int, cm *columns) (*solver.Problem, error) {
+	prefixOK := len(cm.ids) >= len(c.cols) && slices.Equal(cm.ids[:len(c.cols)], c.cols)
+	c.cols = cm.ids
 	if !prefixOK {
 		c.stats.MatrixRebuilds++
-		b := sparse.NewBuilder(len(newCols))
-		for s, g := range c.groups {
+		sys, err := c.groupSystem(c.corners[0], cm, len(m.Timings))
+		if err != nil {
+			return nil, err
+		}
+		c.mat = sys.prob.A
+		c.targets = bySlot(sys.prob.B, c.groups)
+		c.guards = bySlot(sys.prob.Guard, c.groups)
+		return sys.prob, nil
+	}
+	if err := c.mat.GrowCols(len(cm.ids)); err != nil {
+		return nil, err
+	}
+	cs := c.corners[0]
+	targets := make([]float64, 0, len(m.Timings))
+	guards := make([]float64, 0, len(m.Timings))
+	lo := 0 // first row of slot s: rows before it already have their new layout
+	for s, g := range c.groups {
+		if len(slots) > 0 && slots[0] == s {
+			slots = slots[1:]
+			nOld, nNew := len(c.targets[s]), len(g)
+			c.targets[s], c.guards[s] = make([]float64, nNew), make([]float64, nNew)
 			for j, p := range g {
-				idx, val, target, guard := c.cheap.Row(m.GBA, m.G, m.Opt.Epsilon, colOf, p, c.tgroups[s][j])
-				if err := b.AddRow(idx, val); err != nil {
-					return err
+				idx, val, target, guard := cs.cheap.Row(m.GBA, m.G, c.opt.Epsilon, cm.of, p, cs.tgroups[s][j])
+				var err error
+				if j < nOld {
+					err = c.mat.SetRow(lo+j, idx, val)
+				} else {
+					err = c.mat.InsertRow(lo+j, idx, val)
 				}
-				if dirtySlot[s] {
-					c.targets[s][j] = target
-					c.guards[s][j] = guard
+				if err != nil {
+					return nil, err
+				}
+				c.stats.RowsPatched++
+				c.targets[s][j], c.guards[s][j] = target, guard
+			}
+			for j := nOld; j > nNew; j-- {
+				if err := c.mat.RemoveRow(lo + nNew); err != nil {
+					return nil, err
 				}
 			}
 		}
-		c.mat = b.Build()
-		return nil
+		targets = append(targets, c.targets[s]...)
+		guards = append(guards, c.guards[s]...)
+		lo += len(g)
 	}
-	if len(newCols) > len(c.cols) {
-		if err := c.mat.GrowCols(len(newCols)); err != nil {
-			return err
-		}
-	}
-	starts := make([]int, len(c.groups)+1)
-	for s, n := range oldCounts {
-		starts[s+1] = starts[s] + n
-	}
-	shift := 0
-	for _, s := range slots {
-		lo := starts[s] + shift
-		nOld, nNew := oldCounts[s], len(c.groups[s])
-		for j, p := range c.groups[s] {
-			idx, val, target, guard := c.cheap.Row(m.GBA, m.G, m.Opt.Epsilon, colOf, p, c.tgroups[s][j])
-			var err error
-			if j < nOld {
-				err = c.mat.SetRow(lo+j, idx, val)
-			} else {
-				err = c.mat.InsertRow(lo+j, idx, val)
-			}
-			if err != nil {
-				return err
-			}
-			c.stats.RowsPatched++
-			c.targets[s][j] = target
-			c.guards[s][j] = guard
-		}
-		for j := nOld; j > nNew; j-- {
-			if err := c.mat.RemoveRow(lo + nNew); err != nil {
-				return err
-			}
-		}
-		shift += nNew - nOld
-	}
-	return nil
+	return c.problem(c.mat, targets, guards)
 }

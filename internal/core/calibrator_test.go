@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"mgba/internal/core"
@@ -9,6 +10,10 @@ import (
 	"mgba/internal/gen"
 	"mgba/internal/graph"
 	"mgba/internal/netlist"
+	"mgba/internal/obs"
+	"mgba/internal/pathsel"
+	"mgba/internal/pba"
+	"mgba/internal/solver"
 	"mgba/internal/sta"
 )
 
@@ -251,5 +256,125 @@ func TestInvalidateForcesCold(t *testing.T) {
 	}
 	if st := cal.Stats(); st.Cold != 2 || st.Incremental != 0 {
 		t.Fatalf("expected the recalibration to go cold, stats %+v", st)
+	}
+}
+
+// requireSameProblem asserts two assembled Eq. (9) systems are
+// bit-identical: shape, every row's entries, targets and guards.
+func requireSameProblem(t *testing.T, got, want *solver.Problem) {
+	t.Helper()
+	if got.A.Rows() != want.A.Rows() || got.A.Cols() != want.A.Cols() {
+		t.Fatalf("matrix shape %dx%d, want %dx%d", got.A.Rows(), got.A.Cols(), want.A.Rows(), want.A.Cols())
+	}
+	for i := 0; i < want.A.Rows(); i++ {
+		gi, gv := got.A.Row(i)
+		wi, wv := want.A.Row(i)
+		if !slices.Equal(gi, wi) || !sameFloats(gv, wv) {
+			t.Fatalf("row %d differs: (%v, %v) vs (%v, %v)", i, gi, gv, wi, wv)
+		}
+	}
+	if !sameFloats(got.B, want.B) {
+		t.Fatal("targets differ")
+	}
+	if !sameFloats(got.Guard, want.Guard) {
+		t.Fatal("guards differ")
+	}
+	if got.Penalty != want.Penalty {
+		t.Fatalf("penalty %v, want %v", got.Penalty, want.Penalty)
+	}
+}
+
+// TestUnstreamedMaxPathsTruncation pins the one selection the cold loop
+// does not keep per endpoint: with a binding cap, the unstreamed model's
+// selection is exactly the round-robin truncation of the enumerated
+// population, and the calibrator caches nothing, so the next Recalibrate
+// runs cold for lack of a cache.
+func TestUnstreamedMaxPathsTruncation(t *testing.T) {
+	_, _, sess := calDesign(t)
+	ctx := context.Background()
+	cfg := sta.DefaultConfig()
+	opt := core.DefaultOptions()
+	full, err := core.CalibrateWithSession(ctx, sess, cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Selection.Paths) < 4 {
+		t.Fatalf("fixture selected %d paths; the cap cannot bind", len(full.Selection.Paths))
+	}
+	opt.MaxPaths = len(full.Selection.Paths) / 2
+	cal, err := core.NewCalibrator(sess, cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := cal.Calibrate(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := pba.NewAnalyzer(m.GBA)
+	want := pathsel.Enumerate(an, opt.K).TopK(opt.K, opt.MaxPaths).Paths
+	if len(m.Selection.Paths) != len(want) || len(want) != opt.MaxPaths {
+		t.Fatalf("selection has %d paths, truncation %d, cap %d", len(m.Selection.Paths), len(want), opt.MaxPaths)
+	}
+	for i, p := range want {
+		q := m.Selection.Paths[i]
+		if q.Launch != p.Launch || q.Capture != p.Capture || q.GBASlack != p.GBASlack || !slices.Equal(q.Cells, p.Cells) {
+			t.Fatalf("selected path %d differs from the round-robin truncation", i)
+		}
+	}
+	if len(m.Timings) != len(want) || m.Problem.A.Rows() != len(want) {
+		t.Fatalf("%d timings and %d rows for %d selected paths", len(m.Timings), m.Problem.A.Rows(), len(want))
+	}
+
+	prev := obs.Enabled()
+	obs.Enable(true)
+	defer obs.Enable(prev)
+	noCache := obs.NewCounter("core.calibrations.cold.no_cache")
+	before := noCache.Value()
+	if _, err := cal.Recalibrate(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := cal.Stats(); st.Cold != 2 || st.Incremental != 0 {
+		t.Fatalf("a truncated selection was cached: stats %+v", st)
+	}
+	if noCache.Value() != before+1 {
+		t.Fatal("the cold recalibration was not counted as no_cache")
+	}
+}
+
+// TestCalibrateOnSelectionMatchesCalibrate feeds the default scheme's own
+// selection through the explicit-selection entry point: the fit must be
+// bit-identical to the default Calibrate, system and weights alike.
+func TestCalibrateOnSelectionMatchesCalibrate(t *testing.T) {
+	_, g, _ := calDesign(t)
+	ctx := context.Background()
+	cfg := sta.DefaultConfig()
+	opt := core.DefaultOptions()
+	ref, err := core.Calibrate(ctx, g, cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Selection.Paths) == 0 {
+		t.Fatal("fixture selected no paths")
+	}
+	sel := pathsel.Enumerate(pba.NewAnalyzer(ref.GBA), opt.K).TopK(opt.K, 0)
+	m, err := core.CalibrateOnSelection(ctx, g, cfg, opt, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Selection != sel {
+		t.Error("model does not carry the explicit selection")
+	}
+	if !slices.Equal(m.Columns, ref.Columns) {
+		t.Fatal("column maps differ")
+	}
+	requireSameProblem(t, m.Problem, ref.Problem)
+	if !sameFloats(m.Correction, ref.Correction) {
+		t.Error("corrections differ")
+	}
+	if !sameFloats(m.Weights, ref.Weights) {
+		t.Error("weights differ")
+	}
+	if !sameFloats(m.MGBA.Slack, ref.MGBA.Slack) {
+		t.Error("mGBA slacks differ")
 	}
 }

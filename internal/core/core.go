@@ -20,10 +20,13 @@
 // Eq. (6).
 //
 // The pipeline lives in one file per stage: viewpair.go (the pair
-// interfaces and registry), assembly.go (the Eq. (9) system), fit.go
-// (the solve and its degradation ladder), signoff.go (slack evaluation
-// and the paper's accuracy metrics), calibrator.go (the persistent
-// incremental session) and preroute.go (the cross-stage pair).
+// interfaces and registry), assembly.go (eqSystem, the one builder of
+// Eq. (9) systems, and the row decomposition), fit.go (the solve and its
+// degradation ladder), signoff.go (slack evaluation and the paper's
+// accuracy metrics), calibrator.go (the one cold enumerate-retime-row
+// loop, streamed or materialized, the incremental Recalibrate and the fit
+// tail both share), corners.go and mcmm.go (the corner set and the
+// per-corner fits) and preroute.go (the cross-stage pair).
 package core
 
 import (
@@ -189,10 +192,6 @@ type Model struct {
 	Corners            []*CornerFit
 	WorstSlack         []float64
 	WorstWNS, WorstTNS float64
-
-	// cheap is the view the model's rows were decomposed by; assemble and
-	// the calibrator's row patching dispatch through it.
-	cheap CheapView
 
 	// Robustness record (see DESIGN.md §"Failure model & degradation
 	// ladder").

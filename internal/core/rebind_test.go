@@ -11,6 +11,8 @@ import (
 	"mgba/internal/graph"
 	"mgba/internal/netlist"
 	"mgba/internal/obs"
+	"mgba/internal/pathsel"
+	"mgba/internal/pba"
 	"mgba/internal/sta"
 )
 
@@ -300,9 +302,11 @@ func TestRebindBufferInsertionMatchesCold(t *testing.T) {
 }
 
 // TestColdFallbackReasons: every cold calibration is counted under
-// exactly one reason, so the reasons sum to core.calibrations.cold.
+// exactly one reason, so the reasons sum to core.calibrations.cold, and
+// every call is counted once: a Recalibrate that falls back to a cold
+// calibration is not also counted incremental.
 func TestColdFallbackReasons(t *testing.T) {
-	_, g, sess := calDesign(t)
+	d, g, sess := calDesign(t)
 	ctx := context.Background()
 	prev := obs.Enabled()
 	obs.Enable(true)
@@ -311,13 +315,9 @@ func TestColdFallbackReasons(t *testing.T) {
 	total := obs.NewCounter("core.calibrations.cold")
 	reasons := []string{"requested", "no_cache", "shape_change", "unknown_instance",
 		"clock_instance", "golden_update", "path_cap"}
-	start := make(map[string]int64)
-	for _, r := range reasons {
-		start[r] = reason(r).Value()
-	}
-	total0 := total.Value()
-
-	cal, err := core.NewCalibrator(sess, sta.DefaultConfig(), core.DefaultOptions())
+	cfg := sta.DefaultConfig()
+	opt := core.DefaultOptions()
+	cal, err := core.NewCalibrator(sess, cfg, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,22 +328,71 @@ func TestColdFallbackReasons(t *testing.T) {
 			break
 		}
 	}
+	// capCal's MaxPaths is the cached population exactly, taken after
+	// upsizing gates on the selected paths repaired some violations;
+	// growCap undoes those upsizes, growing the population back past the
+	// cap, so the next Recalibrate finds the cap binding.
+	m0, err := core.CalibrateWithSession(ctx, sess, cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upsized := upsizeSelected(t, d, g, m0, 40)
+	ref, err := core.CalibrateWithSession(ctx, sess, cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capOpt := opt
+	capOpt.MaxPaths = len(ref.Selection.Paths)
+	capCal, err := core.NewCalibrator(sess, cfg, capOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	growCap := func() []int {
+		for _, id := range upsized {
+			// Every gate starts at its weakest variant, so a weaker one
+			// exists exactly for the gates upsizeSelected resized.
+			inst := d.Instances[id]
+			if to := d.Lib.Downsize(inst.Cell); to != nil && !inst.IsFF() {
+				if err := d.Resize(inst, to); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		r := sess.Run(cfg)
+		defer r.Release()
+		if n := pathsel.Enumerate(pba.NewAnalyzer(r), opt.K).Total(); n <= capOpt.MaxPaths {
+			t.Fatalf("undoing the upsizes left %d violated paths, cap %d", n, capOpt.MaxPaths)
+		}
+		return upsized
+	}
+	start := make(map[string]int64)
+	for _, r := range reasons {
+		start[r] = reason(r).Value()
+	}
+	total0 := total.Value()
 	steps := []struct {
 		reason string
+		cal    *core.Calibrator
 		run    func() error
 	}{
-		{"no_cache", func() error { _, err := cal.Recalibrate(ctx, nil); return err }},
-		{"unknown_instance", func() error { _, err := cal.Recalibrate(ctx, []int{g.NumInstances()}); return err }},
-		{"clock_instance", func() error { _, err := cal.Recalibrate(ctx, []int{clockID}); return err }},
-		{"requested", func() error { _, err := cal.Calibrate(ctx); return err }},
+		{"no_cache", cal, func() error { _, err := cal.Recalibrate(ctx, nil); return err }},
+		{"unknown_instance", cal, func() error { _, err := cal.Recalibrate(ctx, []int{g.NumInstances()}); return err }},
+		{"clock_instance", cal, func() error { _, err := cal.Recalibrate(ctx, []int{clockID}); return err }},
+		{"requested", cal, func() error { _, err := cal.Calibrate(ctx); return err }},
+		{"requested", capCal, func() error { _, err := capCal.Calibrate(ctx); return err }},
+		{"path_cap", capCal, func() error { _, err := capCal.Recalibrate(ctx, growCap()); return err }},
 	}
 	for _, st := range steps {
 		before := reason(st.reason).Value()
+		calls := st.cal.Stats().Cold + st.cal.Stats().Incremental
 		if err := st.run(); err != nil {
 			t.Fatal(err)
 		}
 		if got := reason(st.reason).Value() - before; got != 1 {
 			t.Errorf("%s: counted %d times, want 1", st.reason, got)
+		}
+		if got := st.cal.Stats().Cold + st.cal.Stats().Incremental - calls; got != 1 {
+			t.Errorf("%s: cold + incremental moved by %d, want 1 (stats %+v)", st.reason, got, st.cal.Stats())
 		}
 	}
 	var sum int64
