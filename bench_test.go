@@ -23,6 +23,7 @@ import (
 	"mgba/internal/rng"
 	"mgba/internal/solver"
 	"mgba/internal/sta"
+	"mgba/internal/transform"
 )
 
 // benchDesign generates a mid-sized cone design once per benchmark binary.
@@ -370,11 +371,8 @@ func recalibrateFixture(b *testing.B) (*graph.Graph, []float64, []int) {
 				continue
 			}
 			resized++
-			note(id)
-			for _, nid := range inst.Inputs {
-				if drv := d.Nets[nid].Driver; drv >= 0 && !g.IsClock(drv) {
-					note(drv)
-				}
+			for _, m := range transform.ModifiedSet(d, g, id) {
+				note(m)
 			}
 		}
 	}

@@ -10,11 +10,13 @@ import (
 )
 
 // ckptState is the flow-progress blob embedded in a netio checkpoint. The
-// design and weights live in the checkpoint envelope; this records where
-// to pick the flow back up and the counters accumulated so far. Kinds
-// (per-transform-kind accepted counts) arrived with checkpoint format v2;
-// a v1 state decodes with nil Kinds and the counts are derived from the
-// historical trio on restore.
+// design and the selection corner's weights live in the checkpoint
+// envelope; this records where to pick the flow back up, the counters
+// accumulated so far, and — in a multi-corner mGBA run only, so
+// single-corner states are unchanged — the extra corners' weights in
+// corner order. Kinds (per-transform-kind accepted counts) arrived with
+// checkpoint format v2; a v1 state decodes with nil Kinds and the counts
+// are derived from the historical trio on restore.
 type ckptState struct {
 	Timer           int  `json:"timer"`
 	Phase           int  `json:"phase"`
@@ -22,6 +24,8 @@ type ckptState struct {
 	RecoveryPos     int  `json:"recovery_pos"`
 	SinceCalib      int  `json:"since_calib"`
 	FinalCalibrated bool `json:"final_calibrated,omitempty"`
+
+	CornerWeights [][]float64 `json:"corner_weights,omitempty"`
 
 	Transforms   int            `json:"transforms"`
 	Upsized      int            `json:"upsized"`
@@ -36,8 +40,26 @@ type ckptState struct {
 }
 
 // restore loads checkpointed flow state and counters into a fresh flow.
-func (f *flow) restore(st *ckptState, weights []float64) {
-	f.weights = weights
+// The checkpointed weights — one vector per corner, each one weight per
+// instance — become the corner views' weights and the calibrator's warm
+// start; a corner count or a vector length that does not match is an
+// error.
+func (f *flow) restore(st *ckptState, weights []float64) error {
+	if weights != nil {
+		if len(st.CornerWeights) != len(f.views)-1 {
+			return fmt.Errorf("closure: checkpoint has weights for %d extra corners, options select %d",
+				len(st.CornerWeights), len(f.views)-1)
+		}
+		all := append([][]float64{weights}, st.CornerWeights...)
+		for i, w := range all {
+			if len(w) != len(f.d.Instances) {
+				return fmt.Errorf("closure: checkpoint corner %d has %d weights for %d instances",
+					i, len(w), len(f.d.Instances))
+			}
+			f.views[i].weights = w
+		}
+		f.cal.SetWarmWeights(all...)
+	}
 	f.transforms = st.SinceCalib
 	f.recoveryPos = st.RecoveryPos
 	f.finalCalibrated = st.FinalCalibrated
@@ -57,7 +79,7 @@ func (f *flow) restore(st *ckptState, weights []float64) {
 		for k, n := range st.Kinds {
 			r.Kinds[k] = n
 		}
-		return
+		return nil
 	}
 	// v1 checkpoint: the trio is the complete per-kind record.
 	if st.Upsized+st.Downsized+st.BuffersAdded > 0 {
@@ -70,6 +92,7 @@ func (f *flow) restore(st *ckptState, weights []float64) {
 			}
 		}
 	}
+	return nil
 }
 
 // restoreKinds hands checkpointed per-transform state blobs back to the
@@ -106,6 +129,10 @@ func (f *flow) snapshot() ckptState {
 			kinds[k] = n
 		}
 	}
+	var cornerWeights [][]float64
+	for _, v := range f.views[1:] {
+		cornerWeights = append(cornerWeights, v.weights)
+	}
 	return ckptState{
 		Timer:           int(f.opt.Timer),
 		Phase:           int(f.curPhase),
@@ -113,6 +140,7 @@ func (f *flow) snapshot() ckptState {
 		RecoveryPos:     f.recoveryPos,
 		SinceCalib:      f.transforms,
 		FinalCalibrated: f.finalCalibrated,
+		CornerWeights:   cornerWeights,
 		Transforms:      f.res.Transforms,
 		Upsized:         f.res.Upsized,
 		Downsized:       f.res.Downsized,
@@ -163,7 +191,7 @@ func (f *flow) checkpoint() {
 	if err == nil {
 		err = netio.SaveCheckpointFile(f.opt.CheckpointPath, &netio.Checkpoint{
 			Design:  f.d,
-			Weights: f.weights,
+			Weights: f.views[0].weights,
 			State:   blob,
 			Kinds:   f.kindBlobs(),
 		})

@@ -1,14 +1,21 @@
 // Package closure implements the post-route timing-closure optimization
-// framework of the paper's §3.4 (the left half of Fig. 5): a scheduler
-// picks violating endpoints and repairs their worst paths with moves from
-// a pluggable transform registry (internal/transform), followed by an
-// area/leakage recovery pass that downsizes gates with slack to spare.
+// framework of the paper's §3.4 (the left half of Fig. 5): the flow
+// repairs violating endpoints worst first, trying moves from a pluggable
+// transform registry (internal/transform) on each one's worst path,
+// followed by an area/leakage recovery pass that downsizes gates with
+// slack to spare.
 //
 // The default registry reproduces the historical hard-coded loop exactly
-// — gate upsizing first, buffer insertion second, greedy
-// worst-endpoint-first scheduling — and Options.Transforms extends it
-// with register retiming, the structural move whose dirty sets drive the
-// calibrator's incremental recalibration across a session rebind.
+// — gate upsizing first, buffer insertion second — and Options.Transforms
+// extends it with register retiming, the structural move whose dirty sets
+// drive the calibrator's incremental recalibration across a session
+// rebind.
+//
+// The flow times the design through one list of corner views: the
+// selection corner, plus one view per extra corner of a multi-corner mGBA
+// run (Options.Core.Corners). Calibration, every transform trial and a
+// resume time all of them alike; repairs are scheduled on the merged
+// worst-corner slack and no accepted move may regress a corner.
 //
 // The framework is timer-agnostic: it runs against original GBA or
 // against mGBA (GBA with calibrated per-gate weighting factors,
@@ -49,15 +56,15 @@ func (k TimerKind) String() string {
 	return "GBA"
 }
 
-// DefaultRetimeBudget caps accepted retimes when the retime transform is
-// enabled without an explicit KindBudgets entry: each slide rebuilds the
-// timing session, so an unbounded structural budget could dominate the
-// run the way MaxBuffers bounds buffer insertions.
-const DefaultRetimeBudget = 40
+// RetimeBudget caps accepted retimes when the retime transform is
+// enabled: each slide rebuilds the timing session, so an unbounded
+// structural budget could dominate the run the way MaxBuffers bounds
+// buffer insertions.
+const RetimeBudget = 40
 
-// DefaultRetimeMaxLag is the per-register lag-magnitude cap used when
-// Options.RetimeMaxLag is zero.
-const DefaultRetimeMaxLag = 2
+// RetimeLagCap caps how far any register may drift (in slides) from its
+// original position.
+const RetimeLagCap = 2
 
 // Options controls one optimization run.
 type Options struct {
@@ -76,18 +83,6 @@ type Options struct {
 	// violating endpoint: "upsize", "buffer", "retime". nil selects the
 	// default registry — upsize then buffer, the historical loop.
 	Transforms []string
-	// Scheduler selects the endpoint-scheduling policy: "" or "greedy"
-	// (worst endpoint first, the historical order) or "roundrobin"
-	// (cycle through violating endpoints in index order).
-	Scheduler string
-	// KindBudgets caps accepted transforms per kind. Kinds without an
-	// entry default to MaxBuffers for "buffer", DefaultRetimeBudget for
-	// "retime", and no per-kind cap otherwise (MaxTransforms still
-	// bounds the total).
-	KindBudgets map[string]int
-	// RetimeMaxLag caps how far any register may drift (in slides) from
-	// its original position; zero means DefaultRetimeMaxLag.
-	RetimeMaxLag int
 
 	// ColdRecalibrate disables the incremental calibrator and performs
 	// every mid-flow recalibration from scratch. Ablation switch: the two

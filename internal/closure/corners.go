@@ -1,25 +1,28 @@
 package closure
 
 import (
-	"mgba/internal/core"
 	"mgba/internal/engine"
 	"mgba/internal/sta"
 )
 
-// Multi-corner closure: when Options.Core.Corners names N>=2 corners, the
-// calibrator hands the flow one fitted mGBA view per corner. The flow
-// keeps every extra corner's view advanced in lockstep with the selection
-// corner's (in-place Update for resizes, fresh runs on structural trial
-// sessions), schedules repairs against the merged worst-corner slack, and
-// vetoes any transform that regresses a corner's WNS — a move is only
-// accepted when no corner gets worse, so closing the selection corner
-// never reopens another.
+// The flow times the design through one list of corner views. View 0 is
+// the selection corner; a multi-corner mGBA run (Options.Core.Corners,
+// N>=2) appends one view per extra corner, in set order. Every view
+// carries its own analysis config, taken once from the calibrator, and
+// its own weights, so calibration, in-place trials, structural trials and
+// resume all time every corner the same way. A GBA or single-corner run is
+// a list of one. Repairs are scheduled against the merged worst-corner
+// slack, and a transform is vetoed when it regresses an extra corner's
+// WNS — a move is only accepted when no corner gets worse, so closing the
+// selection corner never reopens another.
 
-// cornerView is one extra corner's live timing view inside the flow.
+// cornerView is one corner's live timing view inside the flow.
 type cornerView struct {
-	name string
-	cfg  sta.Config // the corner's analysis config, Weights unset
-	r    *sta.Result
+	name    string
+	cfg     sta.Config // the corner's analysis config, Weights unset
+	weights []float64  // the corner's mGBA weights; nil under GBA
+	r       *sta.Result
+	wns     float64 // r.WNS before the trial in flight
 }
 
 // CornerQoR is one corner's final timing in a multi-corner Result.
@@ -29,82 +32,69 @@ type CornerQoR struct {
 	TNS  float64 `json:"tns"`
 }
 
-// cornersActive reports whether the flow maintains extra corner views.
-func (f *flow) cornersActive() bool {
-	return f.opt.Timer == TimerMGBA && len(f.opt.Core.Corners) > 1
-}
-
-// adoptCorners takes over the extra corners' fitted views from a fresh
-// calibration, releasing the previous generation's buffers.
-func (f *flow) adoptCorners(model *core.Model) {
-	f.releaseCorners()
-	if len(model.Corners) < 2 {
-		return
-	}
-	f.cviews = make([]*cornerView, 0, len(model.Corners)-1)
-	for _, cf := range model.Corners[1:] {
-		f.cviews = append(f.cviews, &cornerView{name: cf.Spec.Name, cfg: cf.Cfg, r: cf.MGBA})
-	}
-}
-
-// releaseCorners returns every corner view's buffers to its session pool.
-func (f *flow) releaseCorners() {
-	for _, cv := range f.cviews {
-		if cv.r != nil {
-			cv.r.Release()
+// timeOn times every corner on sess under its weights, padded with 1 for
+// instances created since the last calibration, without touching the
+// flow's own views.
+func (f *flow) timeOn(sess *engine.Session) []*sta.Result {
+	rs := make([]*sta.Result, len(f.views))
+	for i := range f.views {
+		v := &f.views[i]
+		for v.weights != nil && len(v.weights) < len(f.d.Instances) {
+			v.weights = append(v.weights, 1)
 		}
+		cfg := v.cfg
+		cfg.Weights = v.weights
+		rs[i] = sess.Run(cfg)
 	}
-	f.cviews = nil
+	return rs
 }
 
-// runCornersOn times every corner on a session under the given weights,
-// without touching the flow's own views.
-func (f *flow) runCornersOn(sess *engine.Session, weights []float64) []*sta.Result {
-	if len(f.cviews) == 0 {
-		return nil
-	}
-	out := make([]*sta.Result, len(f.cviews))
-	for i, cv := range f.cviews {
-		cfg := cv.cfg
-		cfg.Weights = weights
-		out[i] = sess.Run(cfg)
-	}
-	return out
-}
-
-// cornerWNS snapshots each corner's WNS before a trial.
-func (f *flow) cornerWNS() []float64 {
-	if len(f.cviews) == 0 {
-		return nil
-	}
-	out := make([]float64, len(f.cviews))
-	for i, cv := range f.cviews {
-		out[i] = cv.r.WNS
-	}
-	return out
-}
-
-// updateCorners advances every corner view in place over a
-// connectivity-preserving move's dirty set.
-func (f *flow) updateCorners(mod []int) {
-	for _, cv := range f.cviews {
-		cv.r.Update(mod)
+// retire swaps in freshly computed timing views, one per corner, returning
+// the previous ones' scratch buffers to their session pool. Safe because
+// the flow is the only holder of its Results between refreshes.
+func (f *flow) retire(rs []*sta.Result) {
+	for i := range f.views {
+		f.views[i].r.Release()
+		f.views[i].r = rs[i]
 	}
 }
 
-// cornersRegressed is the acceptance veto: true when any corner's WNS
-// fell below where it stood before the trial (a failing corner may not
-// get worse; a passing corner may not start failing). The epsilon
-// absorbs the engine's floating-point noise.
-func (f *flow) cornersRegressed(before []float64) bool {
-	for i, cv := range f.cviews {
-		if regressedWNS(before[i], cv.r.WNS) {
+// markWNS records every view's WNS ahead of a trial, for the veto.
+func (f *flow) markWNS() {
+	for i := range f.views {
+		f.views[i].wns = f.views[i].r.WNS
+	}
+}
+
+// update advances every view in place over a connectivity-preserving
+// move's dirty set.
+func (f *flow) update(mod []int) {
+	for i := range f.views {
+		f.views[i].r.Update(mod)
+	}
+}
+
+// vetoed is the multi-corner acceptance veto: true when an extra corner's
+// WNS fell below where it stood before the trial (a failing corner may not
+// get worse; a passing corner may not start failing). The selection
+// corner is arbitrated by the transform's own Accept rule. trial holds a
+// structural trial's Results in view order; nil means the views advanced
+// in place.
+func (f *flow) vetoed(trial []*sta.Result) bool {
+	for i := 1; i < len(f.views); i++ {
+		after := f.views[i].r
+		if trial != nil {
+			after = trial[i]
+		}
+		if regressedWNS(f.views[i].wns, after.WNS) {
 			return true
 		}
 	}
 	return false
 }
 
+// regressedWNS reports a corner WNS regression. The epsilon absorbs the
+// engine's floating-point noise.
 func regressedWNS(before, after float64) bool {
 	floor := before
 	if floor > 0 {
@@ -113,31 +103,21 @@ func regressedWNS(before, after float64) bool {
 	return after < floor-1e-9
 }
 
-// vetoedByCorners folds the veto over a trial session's corner results.
-func vetoedByCorners(before []float64, after []*sta.Result) bool {
-	for i, r := range after {
-		if regressedWNS(before[i], r.WNS) {
-			return true
-		}
-	}
-	return false
-}
-
-// mergedSlack returns the per-endpoint slack the scheduler and the
-// violation count run on: the worst slack over every corner when extra
-// corners are live, the flow's own view otherwise. The buffer is reused
-// across calls; callers must not retain it.
+// mergedSlack returns the per-endpoint slack the repair loop and the
+// violation count run on: the worst slack over every corner view. The
+// buffer is reused across calls; callers must not retain it.
 func (f *flow) mergedSlack() []float64 {
-	if len(f.cviews) == 0 {
-		return f.r.Slack
+	sel := f.views[0].r.Slack
+	if len(f.views) == 1 {
+		return sel
 	}
-	if cap(f.mergedBuf) < len(f.r.Slack) {
-		f.mergedBuf = make([]float64, len(f.r.Slack))
+	if cap(f.mergedBuf) < len(sel) {
+		f.mergedBuf = make([]float64, len(sel))
 	}
-	merged := f.mergedBuf[:len(f.r.Slack)]
-	copy(merged, f.r.Slack)
-	for _, cv := range f.cviews {
-		for i, s := range cv.r.Slack {
+	merged := f.mergedBuf[:len(sel)]
+	copy(merged, sel)
+	for _, v := range f.views[1:] {
+		for i, s := range v.r.Slack {
 			if s < merged[i] {
 				merged[i] = s
 			}
@@ -146,14 +126,14 @@ func (f *flow) mergedSlack() []float64 {
 	return merged
 }
 
-// cornerQoR reports each live corner's final timing for the Result.
+// cornerQoR reports each extra corner's final timing for the Result.
 func (f *flow) cornerQoR() []CornerQoR {
-	if len(f.cviews) == 0 {
+	if len(f.views) == 1 {
 		return nil
 	}
-	out := make([]CornerQoR, len(f.cviews))
-	for i, cv := range f.cviews {
-		out[i] = CornerQoR{Name: cv.name, WNS: cv.r.WNS, TNS: cv.r.TNS}
+	out := make([]CornerQoR, 0, len(f.views)-1)
+	for _, v := range f.views[1:] {
+		out = append(out, CornerQoR{Name: v.name, WNS: v.r.WNS, TNS: v.r.TNS})
 	}
 	return out
 }

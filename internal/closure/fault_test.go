@@ -2,6 +2,7 @@ package closure_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"math"
@@ -10,8 +11,10 @@ import (
 	"testing"
 
 	"mgba/internal/closure"
+	"mgba/internal/core"
 	"mgba/internal/faultinject"
 	"mgba/internal/gen"
+	"mgba/internal/netio"
 	"mgba/internal/netlist"
 )
 
@@ -102,12 +105,22 @@ func TestFlowSurvivesDivergentSteps(t *testing.T) {
 // TestRunAlreadyCancelled: a context that is cancelled before Run starts
 // must still yield an immediate, usable, zero-transform result.
 func TestRunAlreadyCancelled(t *testing.T) {
-	for _, timer := range []closure.TimerKind{closure.TimerGBA, closure.TimerMGBA} {
+	corners, err := core.ParseCorners("typ,slow:1.15:10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		timer   closure.TimerKind
+		corners []core.CornerSpec
+	}{{closure.TimerGBA, nil}, {closure.TimerMGBA, nil}, {closure.TimerMGBA, corners}} {
+		timer := c.timer
+		opt := fastOptions(timer)
+		opt.Core.Corners = c.corners
 		d := faultDesign(t, 8003)
 		area0 := d.Area()
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		res, err := closure.Run(ctx, d, fastOptions(timer))
+		res, err := closure.Run(ctx, d, opt)
 		if err != nil {
 			t.Fatalf("%v: %v", timer, err)
 		}
@@ -174,11 +187,34 @@ func TestCancelMidRunIsSafe(t *testing.T) {
 
 // TestCheckpointResumeEquivalence is the acceptance criterion of the
 // robustness work: a run killed at an arbitrary checkpoint and resumed
-// must reach the same closure state as an uninterrupted run.
+// must reach the same closure state as an uninterrupted run — on a single
+// corner and on a corner set, where the resumed run must rebuild every
+// corner's view under that corner's own config and weights.
 func TestCheckpointResumeEquivalence(t *testing.T) {
-	opt := fastOptions(closure.TimerMGBA)
+	for _, tc := range []struct{ name, corners string }{
+		{"single-corner", ""},
+		{"typ-slow", "typ,slow:1.15:10"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			corners, err := core.ParseCorners(tc.corners)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := fastOptions(closure.TimerMGBA)
+			opt.Core.Corners = corners
+			checkResumeEquivalence(t, opt)
+		})
+	}
+}
 
-	// Reference: uninterrupted run.
+// checkResumeEquivalence kills a run at its 3rd checkpoint, resumes it to
+// completion and compares it with an uninterrupted run, down to every
+// corner's final weights in the exit checkpoints.
+func checkResumeEquivalence(t *testing.T, opt closure.Options) {
+	// Reference: uninterrupted run (checkpoints do not steer the flow).
+	dir := t.TempDir()
+	opt.CheckpointPath = filepath.Join(dir, "ref.json")
+	opt.CheckpointEvery = 5
 	ref, err := closure.Run(context.Background(), faultDesign(t, 8005), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -186,9 +222,8 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 
 	// Interrupted run: kill at the 3rd checkpoint (mid-repair, a few
 	// transforms in), then resume until completion.
-	path := filepath.Join(t.TempDir(), "ckpt.json")
+	path := filepath.Join(dir, "ckpt.json")
 	opt.CheckpointPath = path
-	opt.CheckpointEvery = 5
 	ctx, cancel := context.WithCancel(context.Background())
 	ckpts := 0
 	opt.OnCheckpoint = func(string) {
@@ -231,6 +266,34 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	if math.Abs(res.Area-ref.Area) > 1e-9 {
 		t.Fatalf("area diverged: resumed %v vs uninterrupted %v", res.Area, ref.Area)
 	}
+	want, got := cornerWeights(t, filepath.Join(dir, "ref.json")), cornerWeights(t, path)
+	if len(got) != len(want) {
+		t.Fatalf("resumed run ends with %d weight vectors, uninterrupted %d", len(got), len(want))
+	}
+	for c := range want {
+		for i := range want[c] {
+			if got[c][i] != want[c][i] {
+				t.Fatalf("corner %d weight %d diverged: resumed %v vs uninterrupted %v", c, i, got[c][i], want[c][i])
+			}
+		}
+	}
+}
+
+// cornerWeights reads every corner's weights from a checkpoint, selection
+// corner first.
+func cornerWeights(t *testing.T, path string) [][]float64 {
+	t.Helper()
+	c, err := netio.LoadCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		CornerWeights [][]float64 `json:"corner_weights"`
+	}
+	if err := json.Unmarshal(c.State, &st); err != nil {
+		t.Fatal(err)
+	}
+	return append([][]float64{c.Weights}, st.CornerWeights...)
 }
 
 // TestResumeOfCompletedRunIsNoOp: resuming a checkpoint whose flow already
@@ -270,6 +333,51 @@ func TestResumeRejectsTimerMismatch(t *testing.T) {
 	bad := fastOptions(closure.TimerMGBA)
 	if _, err := closure.Resume(context.Background(), opt.CheckpointPath, bad); err == nil {
 		t.Fatal("timer mismatch accepted")
+	}
+}
+
+// TestResumeRejectsBadCornerWeights: a multi-corner checkpoint carries one
+// weight vector per extra corner. Resuming it under another corner count,
+// or with a vector whose length does not match the design, is a clean
+// error.
+func TestResumeRejectsBadCornerWeights(t *testing.T) {
+	corners, err := core.ParseCorners("typ,slow:1.15:10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := fastOptions(closure.TimerMGBA)
+	opt.Core.Corners = corners
+	opt.CheckpointPath = filepath.Join(t.TempDir(), "ckpt.json")
+	if _, err := closure.Run(context.Background(), faultDesign(t, 8007), opt); err != nil {
+		t.Fatal(err)
+	}
+	single := opt
+	single.Core.Corners = nil
+	if _, err := closure.Resume(context.Background(), opt.CheckpointPath, single); err == nil {
+		t.Fatal("a two-corner checkpoint resumed on a single corner")
+	}
+
+	c, err := netio.LoadCheckpointFile(opt.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st map[string]any
+	if err := json.Unmarshal(c.State, &st); err != nil {
+		t.Fatal(err)
+	}
+	cw, ok := st["corner_weights"].([]any)
+	if !ok || len(cw) != 1 {
+		t.Fatalf("checkpoint state carries corner weights %v, want one vector", st["corner_weights"])
+	}
+	cw[0] = cw[0].([]any)[1:]
+	if c.State, err = json.Marshal(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := netio.SaveCheckpointFile(opt.CheckpointPath, c); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := closure.Resume(context.Background(), opt.CheckpointPath, opt); err == nil {
+		t.Fatal("a short corner weight vector was accepted")
 	}
 }
 

@@ -40,17 +40,18 @@ type flow struct {
 	ctx context.Context
 
 	reg     *transform.Registry
-	budgets map[string]int
-	sched   Scheduler
 	kindObs map[string]kindMetrics
 
-	g       *graph.Graph
-	sess    *engine.Session
-	r       *sta.Result
-	weights []float64 // nil for GBA
+	g    *graph.Graph
+	sess *engine.Session
 
-	// cal is the persistent mGBA calibrator; nil until the first
-	// calibration. calStale marks it as bound to a superseded session
+	// views holds one timing view per corner, the selection corner first
+	// (see corners.go); mergedBuf is the reused worst-corner slack buffer.
+	views     []cornerView
+	mergedBuf []float64
+
+	// cal is the persistent mGBA calibrator (nil for GBA), built when the
+	// run starts. calStale marks it as bound to a superseded session
 	// after an accepted structural move (buffer insertion, retiming); the
 	// next calibrate rebinds it instead of discarding it. dirty
 	// accumulates the instances whose timing changed through accepted
@@ -59,12 +60,6 @@ type flow struct {
 	cal      *core.Calibrator
 	calStale bool
 	dirty    map[int]bool
-
-	// cviews holds the extra corners' live mGBA views of a multi-corner
-	// run (empty otherwise), kept in lockstep with r; mergedBuf is the
-	// reused worst-corner slack buffer (see corners.go).
-	cviews    []*cornerView
-	mergedBuf []float64
 
 	res        *Result
 	transforms int // transforms since the last recalibration
@@ -77,30 +72,22 @@ type flow struct {
 	sinceCkpt       int // accepted transforms since the last checkpoint
 }
 
-// retire swaps in a freshly computed timing view, returning the previous
-// one's scratch buffers to its session pool. Safe because the flow is the
-// only holder of its Result between refreshes.
-func (f *flow) retire(next *sta.Result) {
-	if f.r != nil {
-		f.r.Release()
-	}
-	f.r = next
-}
-
-// analysis bundles the flow's current timing view for transform calls.
-// Rebuilt at each use: connectivity-changing trials replace G and R.
+// analysis bundles the selection corner's current timing view for
+// transform calls. Rebuilt at each use: connectivity-changing trials
+// replace G and R.
 func (f *flow) analysis() *transform.Analysis {
-	return &transform.Analysis{D: f.d, G: f.g, R: f.r}
+	return &transform.Analysis{D: f.d, G: f.g, R: f.views[0].r}
 }
 
-// snap captures the acceptance snapshot for endpoint fi (NaN slack for
-// recovery-pass calls, which carry no target endpoint).
-func (f *flow) snap(fi int) transform.Snapshot {
+// snap captures the acceptance snapshot of a selection-corner Result for
+// endpoint fi (NaN slack for recovery-pass calls, which carry no target
+// endpoint).
+func snap(r *sta.Result, fi int) transform.Snapshot {
 	s := math.NaN()
 	if fi >= 0 {
-		s = f.r.Slack[fi]
+		s = r.Slack[fi]
 	}
-	return transform.Snapshot{Slack: s, WNS: f.r.WNS, TNS: f.r.TNS}
+	return transform.Snapshot{Slack: s, WNS: r.WNS, TNS: r.TNS}
 }
 
 // stopped reports whether the run's context has been cancelled, latching
@@ -181,21 +168,15 @@ func run(ctx context.Context, d *netlist.Design, opt Options, st *ckptState,
 		return nil, fmt.Errorf("closure: negative budgets")
 	}
 	start := time.Now()
-	f := &flow{d: d, opt: opt, ctx: ctx, res: &Result{Timer: opt.Timer}}
-	var err error
-	if f.reg, f.budgets, err = buildRegistry(opt); err != nil {
+	f, err := newFlow(ctx, d, opt)
+	if err != nil {
 		return nil, err
-	}
-	if f.sched, err = buildScheduler(opt.Scheduler); err != nil {
-		return nil, err
-	}
-	f.kindObs = make(map[string]kindMetrics)
-	for _, k := range f.reg.Kinds() {
-		f.kindObs[k] = kindMetricsFor(k)
 	}
 	ph, round := phaseRepair, 0
 	if st != nil {
-		f.restore(st, weights)
+		if err := f.restore(st, weights); err != nil {
+			return nil, err
+		}
 		if err := f.restoreKinds(kinds); err != nil {
 			return nil, err
 		}
@@ -203,24 +184,13 @@ func run(ctx context.Context, d *netlist.Design, opt Options, st *ckptState,
 	}
 	f.curPhase, f.curRound = ph, round
 
-	// Initial timing view. A resumed mGBA run re-times under the
-	// checkpointed weights instead of recalibrating, preserving the
+	// Initial timing views. A resumed mGBA run re-times every corner under
+	// its checkpointed weights instead of recalibrating, preserving the
 	// calibration cadence of the original run.
-	if st != nil && f.opt.Timer == TimerMGBA && f.weights != nil {
-		v, err := f.buildView()
-		if err != nil {
-			return nil, err
-		}
-		f.adopt(v)
-	} else {
-		g, err := graph.Build(f.d)
-		if err != nil {
-			return nil, err
-		}
-		f.g, f.sess = g, engine.NewSession(g)
-		if err := f.calibrate(); err != nil {
-			return nil, err
-		}
+	if st != nil && weights != nil {
+		f.retire(f.timeOn(f.sess))
+	} else if err := f.calibrate(); err != nil {
+		return nil, err
 	}
 
 	for ph < phaseDone && !f.stopped() {
@@ -317,45 +287,69 @@ func run(ctx context.Context, d *netlist.Design, opt Options, st *ckptState,
 	return f.res, nil
 }
 
-// view is one timed state of the design: its timing graph, a session on
-// it, and the flow's timing views on that session.
-type view struct {
-	g       *graph.Graph
-	sess    *engine.Session
-	r       *sta.Result
-	corners []*sta.Result // one per live extra corner
+// newFlow sets a flow up on d: the transform registry, a session on the
+// design's timing graph, and the corner views. A GBA run has the one view
+// of Options.STA; an mGBA run builds its calibrator here and takes one
+// view per calibrator corner, with that corner's config.
+func newFlow(ctx context.Context, d *netlist.Design, opt Options) (*flow, error) {
+	f := &flow{d: d, opt: opt, ctx: ctx, res: &Result{Timer: opt.Timer},
+		kindObs: make(map[string]kindMetrics)}
+	var err error
+	if f.reg, err = buildRegistry(opt); err != nil {
+		return nil, err
+	}
+	for _, k := range f.reg.Kinds() {
+		f.kindObs[k] = kindMetricsFor(k)
+	}
+	if f.g, err = graph.Build(d); err != nil {
+		return nil, err
+	}
+	f.sess = engine.NewSession(f.g)
+	if opt.Timer == TimerGBA {
+		f.views = []cornerView{{cfg: opt.STA}}
+		return f, nil
+	}
+	if f.cal, err = core.NewCalibrator(f.sess, opt.STA, opt.Core); err != nil {
+		return nil, err
+	}
+	names := core.CornerNames(opt.Core.Corners)
+	for i, cfg := range f.cal.CornerConfigs() {
+		v := cornerView{cfg: cfg}
+		if i < len(names) {
+			v.name = names[i]
+		}
+		f.views = append(f.views, v)
+	}
+	return f, nil
 }
 
-// buildView builds the timing graph of the current design and a session
+// trial is one timed state of the edited design: its timing graph, a
+// session on it, and every corner's Result on that session, in view
+// order.
+type trial struct {
+	g    *graph.Graph
+	sess *engine.Session
+	rs   []*sta.Result
+}
+
+// buildTrial builds the timing graph of the current design and a session
 // on it — derived from the flow's current session, whose clock state it
-// inherits when the design's clock network is unchanged — and times it
-// under the flow's current weights, padded with 1 for instances created
-// since the last calibration.
-func (f *flow) buildView() (*view, error) {
+// inherits when the design's clock network is unchanged — and times every
+// corner on it.
+func (f *flow) buildTrial() (*trial, error) {
 	g, err := graph.Build(f.d)
 	if err != nil {
 		return nil, err
 	}
 	sess := engine.DeriveSession(f.sess, g)
-	cfg := f.opt.STA
-	if f.opt.Timer == TimerMGBA && f.weights != nil {
-		for len(f.weights) < len(f.d.Instances) {
-			f.weights = append(f.weights, 1)
-		}
-		cfg.Weights = f.weights
-	}
-	return &view{g: g, sess: sess, r: sess.Run(cfg), corners: f.runCornersOn(sess, cfg.Weights)}, nil
+	return &trial{g: g, sess: sess, rs: f.timeOn(sess)}, nil
 }
 
-// adopt makes v the flow's current view, returning the superseded views'
-// buffers to their session pool.
-func (f *flow) adopt(v *view) {
-	f.retire(v.r)
-	for i, cv := range f.cviews {
-		cv.r.Release()
-		cv.r = v.corners[i]
-	}
-	f.g, f.sess = v.g, v.sess
+// adopt makes t the flow's current timed state, returning the superseded
+// views' buffers to their session pool.
+func (f *flow) adopt(t *trial) {
+	f.retire(t.rs)
+	f.g, f.sess = t.g, t.sess
 }
 
 // calibrate refreshes the mGBA weights (or simply re-analyzes under GBA),
@@ -370,22 +364,11 @@ func (f *flow) adopt(v *view) {
 // weights (mGBA == GBA) — and is recorded in the Result.
 func (f *flow) calibrate() error {
 	if f.opt.Timer == TimerGBA {
-		f.retire(f.sess.Run(f.opt.STA))
+		f.retire(f.timeOn(f.sess))
 		return nil
 	}
 	t0 := time.Now()
-	if f.cal == nil {
-		cal, err := core.NewCalibrator(f.sess, f.opt.STA, f.opt.Core)
-		if err != nil {
-			return err
-		}
-		if f.weights != nil {
-			// The previous weights warm-start the first solve on this
-			// session (the calibrator chains its own thereafter).
-			cal.SetWarmWeights(f.weights)
-		}
-		f.cal = cal
-	} else if f.calStale {
+	if f.calStale {
 		if err := f.cal.Rebind(f.sess); err != nil {
 			return err
 		}
@@ -411,12 +394,28 @@ func (f *flow) calibrate() error {
 		f.res.Faults = append(f.res.Faults,
 			fmt.Sprintf("calibration %d: %s", f.res.Calibrations, model.Fault))
 	}
-	f.weights = model.Weights
-	f.retire(model.MGBA)
-	f.adoptCorners(model)
-	// The calibration's baseline GBA stays with the calibrator, which
-	// advances it incrementally across recalibrations; the flow must not
-	// release it.
+	// View 0 takes the model's own fit, view i its corner i fit. The
+	// calibration's baseline GBA stays with the calibrator, which advances
+	// it incrementally across recalibrations; the flow must not release
+	// it.
+	for i := range f.views {
+		v := &f.views[i]
+		v.r.Release()
+		switch {
+		case i == 0:
+			v.weights, v.r = model.Weights, model.MGBA
+		case model.Corners != nil:
+			v.weights, v.r = model.Corners[i].Weights, model.Corners[i].MGBA
+		default:
+			// A calibration abandoned on cancellation fits no corner: the
+			// extra corners fall back to identity weights with the
+			// selection corner.
+			v.weights = model.Weights
+			cfg := v.cfg
+			cfg.Weights = v.weights
+			v.r = f.sess.Run(cfg)
+		}
+	}
 	f.dirty = nil
 	f.transforms = 0
 	return nil
@@ -461,8 +460,8 @@ func (f *flow) maybeRecalibrate() error {
 	return f.calibrate()
 }
 
-// fixViolations is the main repair loop: the scheduler picks a violating
-// endpoint, the registry's repair transforms propose moves on its worst
+// fixViolations is the main repair loop: the worst violating endpoint is
+// picked, the registry's repair transforms propose moves on its worst
 // path, the first accepted one sticks, and the loop iterates.
 // Cancellation is honored between transforms: an in-flight trial always
 // completes (and is kept or reverted whole), so an interrupted design is
@@ -473,7 +472,7 @@ func (f *flow) fixViolations() error {
 		if f.stopped() {
 			return nil
 		}
-		fi := f.sched.Next(f.mergedSlack(), skip)
+		fi := worstViolator(f.mergedSlack(), skip)
 		if fi < 0 {
 			break // timing closed (or every violator exhausted)
 		}
@@ -495,6 +494,18 @@ func (f *flow) fixViolations() error {
 	return nil
 }
 
+// worstViolator returns the endpoint with the most negative slack outside
+// skip, or -1 when none violates.
+func worstViolator(slack []float64, skip map[int]bool) int {
+	worst, worstSlack := -1, 0.0
+	for fi, s := range slack {
+		if !skip[fi] && s < worstSlack {
+			worst, worstSlack = fi, s
+		}
+	}
+	return worst
+}
+
 // validateViolators subjects every timer-violating endpoint to PBA
 // path validation — the GBA flow's obligatory reality check — and returns
 // how many endpoints truly violate. Its cost is proportional to the number
@@ -503,19 +514,11 @@ func (f *flow) validateViolators() int {
 	t0 := time.Now()
 	f.res.Validations++
 	obsValidations.Inc()
-	an := pba.NewAnalyzer(f.r)
+	r := f.views[0].r
+	an := pba.NewAnalyzer(r)
 	real := 0
-	for fi, s := range f.r.Slack {
-		if s >= 0 {
-			continue
-		}
-		worst := math.Inf(1)
-		for _, p := range an.KWorst(fi, 10, nil) {
-			if ps := an.Retime(p).Slack; ps < worst {
-				worst = ps
-			}
-		}
-		if !math.IsInf(worst, 1) && worst < 0 {
+	for fi, s := range r.Slack {
+		if s < 0 && pbaSlack(an, fi) < 0 {
 			real++
 		}
 	}
@@ -545,7 +548,7 @@ func (f *flow) repairEndpoint(fi int) (bool, error) {
 	}
 	for _, tr := range f.reg.Repair {
 		kind := tr.Kind()
-		if f.res.Kinds[kind] >= f.budgets[kind] {
+		if f.res.Kinds[kind] >= f.budget(kind) {
 			continue
 		}
 		for _, c := range tr.Propose(f.analysis(), fi, path) {
@@ -572,7 +575,8 @@ func (f *flow) repairEndpoint(fi int) (bool, error) {
 //     session (tryStructural).
 func (f *flow) tryCandidate(tr transform.Transform, fi int, c transform.Candidate) (bool, error) {
 	a := f.analysis()
-	before := f.snap(fi)
+	before := snap(f.views[0].r, fi)
+	f.markWNS()
 	mv, err := tr.Apply(a, c)
 	if err != nil {
 		return false, err
@@ -582,17 +586,14 @@ func (f *flow) tryCandidate(tr transform.Transform, fi int, c transform.Candidat
 	}
 	if !tr.ConnectivityChanging() {
 		mod := mv.DirtySet()
-		cwns := f.cornerWNS()
-		f.r.Update(mod)
-		f.updateCorners(mod)
-		if tr.Accept(before, f.snap(fi)) && !f.cornersRegressed(cwns) {
+		f.update(mod)
+		if tr.Accept(before, snap(f.views[0].r, fi)) && !f.vetoed(nil) {
 			f.noteDirty(mod)
 			return true, nil
 		}
 		f.noteReject(tr.Kind())
 		if rerr := mv.Revert(a); rerr == nil {
-			f.r.Update(mod)
-			f.updateCorners(mod)
+			f.update(mod)
 		} else {
 			// The design kept the trial cell: the gate is dirty after all.
 			f.noteDirty(mod)
@@ -612,25 +613,21 @@ func (f *flow) tryCandidate(tr transform.Transform, fi int, c transform.Candidat
 // together they cover exactly the instances whose timing the edit could
 // have changed, which is what makes the subsequent incremental
 // recalibration bit-identical to a cold one. On rejection the move is
-// reverted and the pre-trial graph, session, Result, corner views and
-// calibrator simply stay in place: the reverted design times identically
-// (a removed buffer survives only as a dead instance and an orphan net
-// past the graph's arrays, which nothing times).
+// reverted and the pre-trial graph, session, corner views and calibrator
+// simply stay in place: the reverted design times identically (a removed
+// buffer survives only as a dead instance and an orphan net past the
+// graph's arrays, which nothing times).
 func (f *flow) tryStructural(tr transform.Transform, fi int, mv transform.Move, before transform.Snapshot) (bool, error) {
-	v, err := f.buildView()
+	t, err := f.buildTrial()
 	if err != nil {
-		return false, fmt.Errorf("closure: %s move broke the timing graph: %w", mv.Kind(), err)
+		return false, fmt.Errorf("closure: %s move broke the timing graph: %w", tr.Kind(), err)
 	}
-	after := transform.Snapshot{Slack: math.NaN(), WNS: v.r.WNS, TNS: v.r.TNS}
-	if fi >= 0 {
-		after.Slack = v.r.Slack[fi]
-	}
-	if !tr.Accept(before, after) || vetoedByCorners(f.cornerWNS(), v.corners) {
-		f.noteReject(tr.Kind()) // the trial view is simply dropped
+	if !tr.Accept(before, snap(t.rs[0], fi)) || f.vetoed(t.rs) {
+		f.noteReject(tr.Kind()) // the trial is simply dropped
 		return false, mv.Revert(f.analysis())
 	}
-	dirty := append(append([]int(nil), mv.DirtySet()...), diffSessions(f.sess, v.sess)...)
-	f.adopt(v)
+	dirty := append(append([]int(nil), mv.DirtySet()...), diffSessions(f.sess, t.sess)...)
+	f.adopt(t)
 	if f.cal != nil {
 		f.calStale = true
 	}
@@ -660,15 +657,13 @@ func diffSessions(old, cur *engine.Session) []int {
 // always runs, interrupted or not: a cancelled run still reports honest
 // final numbers for the state it leaves the design in.
 func (f *flow) finish() {
-	f.res.TimerWNS = f.r.WNS
-	f.res.TimerTNS = f.r.TNS
+	f.res.TimerWNS = f.views[0].r.WNS
+	f.res.TimerTNS = f.views[0].r.TNS
 	f.res.ViolatedEndpoints = f.violatedCount()
 	f.res.Area = f.d.Area()
 	f.res.Leakage = f.d.Leakage()
 	f.res.Buffers = f.d.BufferCount()
-	if f.opt.Timer == TimerMGBA {
-		f.res.Weights = f.weights
-	}
+	f.res.Weights = f.views[0].weights
 	f.res.Corners = f.cornerQoR()
 
 	f.res.SignoffWNS, f.res.SignoffTNS = signoff(f.sess, f.opt.STA)

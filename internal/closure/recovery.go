@@ -25,7 +25,7 @@ func (f *flow) recoverArea() error {
 		if inst.IsFF() || f.g.IsClock(v) {
 			continue
 		}
-		slack := f.r.InstanceSlack(v)
+		slack := f.views[0].r.InstanceSlack(v)
 		if math.IsInf(slack, 1) || slack < f.opt.RecoveryMargin {
 			continue
 		}
@@ -41,7 +41,7 @@ func (f *flow) recoverArea() error {
 func (f *flow) recoverInstance(v int) error {
 	for _, tr := range f.reg.Recovery {
 		kind := tr.Kind()
-		if f.res.Kinds[kind] >= f.budgets[kind] {
+		if f.res.Kinds[kind] >= f.budget(kind) {
 			continue
 		}
 		for _, c := range tr.Propose(f.analysis(), -1, []int{v}) {

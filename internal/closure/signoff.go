@@ -9,6 +9,24 @@ import (
 	"mgba/internal/sta"
 )
 
+// pbaPaths is how many GBA-worst paths into an endpoint are retimed to
+// measure its PBA slack. The PBA-worst path is among the GBA-worst few:
+// GBA ordering is a conservative bound on the PBA ordering.
+const pbaPaths = 10
+
+// pbaSlack returns endpoint fi's PBA slack: the minimum PBA slack over its
+// pbaPaths GBA-worst paths — the standard sign-off approximation — or +Inf
+// when no path reaches it.
+func pbaSlack(an *pba.Analyzer, fi int) float64 {
+	worst := math.Inf(1)
+	for _, p := range an.KWorst(fi, pbaPaths, nil) {
+		if s := an.Retime(p).Slack; s < worst {
+			worst = s
+		}
+	}
+	return worst
+}
+
 // Signoff measures WNS/TNS with PBA: for every endpoint, the worst PBA
 // slack among its worst GBA paths. This is the golden yardstick the paper
 // uses for its QoR tables (PBA "sign-off stage" timing).
@@ -27,22 +45,7 @@ func signoff(s *engine.Session, cfg sta.Config) (wns, tns float64) {
 		if len(g.Fanin(ffID)) == 0 {
 			continue
 		}
-		worst := math.Inf(1)
-		// The PBA-worst path is among the GBA-worst few: GBA ordering is
-		// a conservative bound on the PBA ordering.
-		for _, p := range an.KWorst(fi, 10, nil) {
-			if s := an.Retime(p).Slack; s < worst {
-				worst = s
-			}
-		}
-		// The endpoint's PBA slack is the slack of its PBA-worst path,
-		// i.e. the minimum over paths of the per-path slack. KWorst
-		// returns GBA-worst-first, so taking the min over the first few
-		// is the standard sign-off approximation.
-		if math.IsInf(worst, 1) {
-			continue
-		}
-		if worst < 0 {
+		if worst := pbaSlack(an, fi); worst < 0 {
 			tns += worst
 			if worst < wns {
 				wns = worst

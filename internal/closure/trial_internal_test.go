@@ -19,17 +19,10 @@ import (
 // calibration, so single trials can be driven and inspected.
 func trialFlow(t *testing.T, d *netlist.Design, opt Options) *flow {
 	t.Helper()
-	f := &flow{d: d, opt: opt, ctx: context.Background(), res: &Result{Timer: opt.Timer},
-		kindObs: map[string]kindMetrics{}}
-	var err error
-	if f.reg, f.budgets, err = buildRegistry(opt); err != nil {
-		t.Fatal(err)
-	}
-	g, err := graph.Build(d)
+	f, err := newFlow(context.Background(), d, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.g, f.sess = g, engine.NewSession(g)
 	if err := f.calibrate(); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +35,7 @@ func trialFlow(t *testing.T, d *netlist.Design, opt Options) *flow {
 func bufferTrials(t *testing.T, f *flow, before func(), stop func(accepted bool) bool) {
 	t.Helper()
 	tr := f.reg.ByKind("buffer")
-	for fi, s := range f.r.Slack {
+	for fi, s := range f.views[0].r.Slack {
 		if s >= 0 {
 			continue
 		}
@@ -101,7 +94,7 @@ func TestRejectedBufferTrialKeepsSession(t *testing.T) {
 	var stale0 bool
 	rejected := false
 	bufferTrials(t, f, func() {
-		g0, sess0, r0, stale0 = f.g, f.sess, f.r, f.calStale
+		g0, sess0, r0, stale0 = f.g, f.sess, f.views[0].r, f.calStale
 	}, func(accepted bool) bool {
 		rejected = !accepted
 		return rejected
@@ -109,7 +102,7 @@ func TestRejectedBufferTrialKeepsSession(t *testing.T) {
 	if !rejected {
 		t.Fatal("no buffer trial was rejected")
 	}
-	if f.g != g0 || f.sess != sess0 || f.r != r0 || f.calStale != stale0 {
+	if f.g != g0 || f.sess != sess0 || f.views[0].r != r0 || f.calStale != stale0 {
 		t.Fatal("a rejected trial replaced the flow's graph, session, result or calibrator state")
 	}
 	if last := d.Instances[len(d.Instances)-1]; len(d.Instances) <= g0.NumInstances() || !last.Dead {
@@ -122,11 +115,11 @@ func TestRejectedBufferTrialKeepsSession(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := opt.STA
-		cfg.Weights = f.weights
+		cfg.Weights = f.views[0].weights
 		return engine.NewSession(g), cfg
 	}
 	s, cfg := fresh()
-	requireSameTiming(t, s.Run(cfg), f.r, "kept result after a rejected trial")
+	requireSameTiming(t, s.Run(cfg), f.views[0].r, "kept result after a rejected trial")
 
 	// An in-place resize on the kept session.
 	path := transform.WorstPath(f.analysis(), f.worstEndpoint())
@@ -138,15 +131,15 @@ func TestRejectedBufferTrialKeepsSession(t *testing.T) {
 	if err := d.Resize(d.Instances[id], up); err != nil {
 		t.Fatal(err)
 	}
-	mod := transform.ModifiedSet(f.analysis(), id)
-	f.r.Update(mod)
+	mod := transform.ModifiedSet(d, f.g, id)
+	f.update(mod)
 	f.noteDirty(mod)
 	s, cfg = fresh()
-	requireSameTiming(t, s.Run(cfg), f.r, "update with a dead trailing instance")
+	requireSameTiming(t, s.Run(cfg), f.views[0].r, "update with a dead trailing instance")
 
 	// An incremental recalibration on the kept session, against a cold one
 	// on a fresh graph warm-started from the same weights.
-	warm := append([]float64(nil), f.weights...)
+	warm := append([]float64(nil), f.views[0].weights...)
 	if err := f.calibrate(); err != nil {
 		t.Fatal(err)
 	}
@@ -160,12 +153,13 @@ func TestRejectedBufferTrialKeepsSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Weights) != len(f.weights) {
-		t.Fatalf("weight lengths differ: cold %d, incremental %d", len(m.Weights), len(f.weights))
+	w := f.views[0].weights
+	if len(m.Weights) != len(w) {
+		t.Fatalf("weight lengths differ: cold %d, incremental %d", len(m.Weights), len(w))
 	}
 	for i := range m.Weights {
-		if m.Weights[i] != f.weights[i] {
-			t.Fatalf("weight %d differs: cold %v, incremental %v", i, m.Weights[i], f.weights[i])
+		if m.Weights[i] != w[i] {
+			t.Fatalf("weight %d differs: cold %v, incremental %v", i, m.Weights[i], w[i])
 		}
 	}
 
@@ -183,7 +177,7 @@ func TestRejectedBufferTrialKeepsSession(t *testing.T) {
 // view.
 func (f *flow) worstEndpoint() int {
 	worst, fi := math.Inf(1), -1
-	for i, s := range f.r.Slack {
+	for i, s := range f.views[0].r.Slack {
 		if s < worst {
 			worst, fi = s, i
 		}
@@ -209,8 +203,8 @@ func TestBufferTrialCornerVeto(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := trialFlow(t, d, opt)
-	if len(f.cviews) != 1 {
-		t.Fatalf("flow keeps %d corner views, want 1", len(f.cviews))
+	if len(f.views) != 2 {
+		t.Fatalf("flow keeps %d corner views, want 2", len(f.views))
 	}
 	accepted := false
 	bufferTrials(t, f, func() {}, func(ok bool) bool {
@@ -226,7 +220,7 @@ func TestBufferTrialCornerVeto(t *testing.T) {
 		t.Fatal(err)
 	}
 	f = trialFlow(t, d, opt)
-	sess0, cview0, n0 := f.sess, f.cviews[0].r, len(d.Instances)
+	sess0, cview0, n0 := f.sess, f.views[1].r, len(d.Instances)
 	// Every trial buffer is appended at the end of the instance list (a
 	// rejected one stays there, dead and untimed): make each of them slow
 	// in the extra corner only.
@@ -234,7 +228,7 @@ func TestBufferTrialCornerVeto(t *testing.T) {
 	for id := n0; id < n0+len(d.FFs); id++ {
 		slow[id] = 1e4
 	}
-	f.cviews[0].cfg.DelayOverride = slow
+	f.views[1].cfg.DelayOverride = slow
 	trials := 0
 	bufferTrials(t, f, func() { trials++ }, func(ok bool) bool {
 		accepted = ok
@@ -243,7 +237,95 @@ func TestBufferTrialCornerVeto(t *testing.T) {
 	if accepted || trials == 0 {
 		t.Fatalf("%d trials, accepted %v: the corner veto did not hold", trials, accepted)
 	}
-	if f.sess != sess0 || f.cviews[0].r != cview0 || d.BufferCount() != 0 {
+	if f.sess != sess0 || f.views[1].r != cview0 || d.BufferCount() != 0 {
 		t.Fatal("a vetoed trial was not unwound")
+	}
+}
+
+// TestRebuiltViewsMatchCalibration: re-timing an unedited design on a
+// rebuilt session — what every structural trial does — must reproduce
+// each calibrated corner view bit for bit. Each corner keeps its own
+// config (the selection corner's uncertainty and scaled derates too) and
+// its own weights.
+func TestRebuiltViewsMatchCalibration(t *testing.T) {
+	corners, err := core.ParseCorners("slow:1.15:10,typ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := gen.Generate(gen.Suite()[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions(TimerMGBA)
+	opt.Core.Corners = corners
+	f := trialFlow(t, d, opt)
+	if len(f.views) != 2 {
+		t.Fatalf("flow keeps %d corner views, want 2", len(f.views))
+	}
+	tr, err := f.buildTrial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range f.views {
+		requireSameTiming(t, v.r, tr.rs[i], "rebuilt corner "+corners[i].Name)
+	}
+}
+
+// TestUpsizeTrialCornerVeto is the in-place counterpart of
+// TestBufferTrialCornerVeto: an upsize accepted under the plain corner set
+// must be rejected and reverted once the extra corner pins the upsized
+// gate at a huge delay — the upsize then only loads the gate's drivers on
+// that corner's worst path. After the veto every corner view must time
+// the design exactly as a fresh run does.
+func TestUpsizeTrialCornerVeto(t *testing.T) {
+	corners, err := core.ParseCorners("typ,slow:1.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions(TimerMGBA)
+	opt.Core.Corners = corners
+	design := func() *netlist.Design {
+		d, err := gen.Generate(gen.Suite()[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+
+	// The first upsize of the worst endpoint's path that the plain corner
+	// set accepts.
+	f := trialFlow(t, design(), opt)
+	fi := f.worstEndpoint()
+	tr := f.reg.ByKind("upsize")
+	var picked transform.Candidate
+	accepted := false
+	for _, c := range tr.Propose(f.analysis(), fi, transform.WorstPath(f.analysis(), fi)) {
+		ok, err := f.tryCandidate(tr, fi, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			picked, accepted = c, true
+			break
+		}
+	}
+	if !accepted {
+		t.Fatal("no upsize accepted under the plain corner set")
+	}
+
+	d := design()
+	f = trialFlow(t, d, opt)
+	f.views[1].cfg.DelayOverride = map[int]float64{picked.Target: 1e4}
+	f.retire(f.timeOn(f.sess))
+	cell := d.Instances[picked.Target].Cell
+	ok, err := f.tryCandidate(tr, fi, picked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok || d.Instances[picked.Target].Cell != cell {
+		t.Fatal("the corner veto did not reject and revert the upsize")
+	}
+	for i, r := range f.timeOn(f.sess) {
+		requireSameTiming(t, r, f.views[i].r, "corner "+corners[i].Name+" after a vetoed upsize")
 	}
 }

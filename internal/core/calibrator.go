@@ -148,14 +148,28 @@ func (c *Calibrator) Pair() string { return c.pair.Name() }
 // Stats returns the calibrator's work counters.
 func (c *Calibrator) Stats() CalibratorStats { return c.stats }
 
-// SetWarmWeights replaces the per-instance weights seeding the next solve
-// (the closure flow uses it to carry weights across a session rebuild).
-func (c *Calibrator) SetWarmWeights(w []float64) {
-	if w == nil {
-		c.corners[0].warm = nil
-		return
+// CornerConfigs returns every corner's analysis config (Weights unset),
+// selection corner first: the configs the calibrator's fits and views are
+// timed under. The scaled derate tables are shared by pointer, so a caller
+// timing a corner under its config hits the engine's clock-state cache.
+func (c *Calibrator) CornerConfigs() []sta.Config {
+	out := make([]sta.Config, len(c.corners))
+	for i, cs := range c.corners {
+		out[i] = cs.cfg
 	}
-	c.corners[0].warm = append([]float64(nil), w...)
+	return out
+}
+
+// SetWarmWeights replaces the per-instance weights seeding each corner's
+// next solve: w[i] seeds corner i, selection corner first, and corners
+// past len(w) keep theirs (the closure flow uses it to carry a
+// checkpointed run's weights into a resumed one).
+func (c *Calibrator) SetWarmWeights(w ...[]float64) {
+	for i, wi := range w {
+		if i < len(c.corners) {
+			c.corners[i].warm = append([]float64(nil), wi...)
+		}
+	}
 }
 
 // Rebind moves the calibrator to a new engine.Session after a structural

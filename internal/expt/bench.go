@@ -15,6 +15,7 @@ import (
 	"mgba/internal/rng"
 	"mgba/internal/solver"
 	"mgba/internal/sta"
+	"mgba/internal/transform"
 )
 
 // CalibBench is the machine-readable outcome of the calibration benchmark:
@@ -116,11 +117,8 @@ func newBenchScenario(e *Env, transforms int) (*benchScenario, error) {
 				continue
 			}
 			resized++
-			note(id)
-			for _, nid := range inst.Inputs {
-				if drv := d.Nets[nid].Driver; drv >= 0 && !g.IsClock(drv) {
-					note(drv)
-				}
+			for _, m := range transform.ModifiedSet(d, g, id) {
+				note(m)
 			}
 		}
 	}

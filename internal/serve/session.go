@@ -15,6 +15,7 @@ import (
 	"mgba/internal/netio"
 	"mgba/internal/netlist"
 	"mgba/internal/sta"
+	"mgba/internal/transform"
 )
 
 // session is one resident calibration session: a design, its timing
@@ -310,7 +311,7 @@ func (s *session) applyOps(ops []Op) ([]OpResult, []int, error) {
 		in, prev := inst, from
 		applied = append(applied, func() { in.Cell = prev })
 		results[i] = OpResult{Applied: true}
-		for _, id := range s.modifiedSet(op.Instance) {
+		for _, id := range transform.ModifiedSet(s.d, s.g, op.Instance) {
 			dirtySet[id] = true
 		}
 	}
@@ -320,21 +321,6 @@ func (s *session) applyOps(ops []Op) ([]OpResult, []int, error) {
 	}
 	sort.Ints(dirty)
 	return results, dirty, nil
-}
-
-// modifiedSet returns the instances whose timing a resize of id touched:
-// the instance itself plus the non-clock drivers of its input nets (their
-// load changed). Mirrors transform.ModifiedSet so serve batches and the
-// closure flow feed the incremental engine identical dirty seeds.
-func (s *session) modifiedSet(id int) []int {
-	inst := s.d.Instances[id]
-	mod := []int{id}
-	for _, nid := range inst.Inputs {
-		if drv := s.d.Nets[nid].Driver; drv >= 0 && !s.g.IsClock(drv) {
-			mod = append(mod, drv)
-		}
-	}
-	return mod
 }
 
 // snapshotCheckpoint builds the session's persistent form. Caller holds mu.

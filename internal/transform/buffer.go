@@ -46,7 +46,7 @@ func (t *Buffer) Propose(a *Analysis, fi int, path []int) []Candidate {
 	if bestNet < 0 {
 		return nil
 	}
-	return []Candidate{{Target: bestNet, Score: bestWD}}
+	return []Candidate{{Target: bestNet}}
 }
 
 // Apply implements Transform. A net the netlist refuses to buffer is not
@@ -67,7 +67,7 @@ func (t *Buffer) Apply(a *Analysis, c Candidate) (Move, error) {
 		return nil, nil
 	}
 	dirty = append(append(dirty, b.ID), sinks...)
-	return &bufferMove{buf: b, cost: buf.Area, dirty: dirty}, nil
+	return &bufferMove{buf: b, dirty: dirty}, nil
 }
 
 // Accept implements Transform: the target endpoint must improve without
@@ -79,11 +79,8 @@ func (*Buffer) Accept(before, after Snapshot) bool {
 
 type bufferMove struct {
 	buf   *netlist.Instance
-	cost  float64
 	dirty []int
 }
-
-func (m *bufferMove) Kind() string { return "buffer" }
 
 func (m *bufferMove) Revert(a *Analysis) error {
 	return a.D.RemoveBuffer(m.buf)
@@ -92,5 +89,3 @@ func (m *bufferMove) Revert(a *Analysis) error {
 // DirtySet implements Move: the split net's driver (its load changed),
 // the new buffer, and the sinks moved onto the buffer's output net.
 func (m *bufferMove) DirtySet() []int { return m.dirty }
-
-func (m *bufferMove) Cost() float64 { return m.cost }

@@ -9,22 +9,16 @@ import (
 // preserves connectivity, so the dirty set is the exact incremental-update
 // seed and Revert is the opposite swap.
 type resizeMove struct {
-	kind  string
 	inst  *netlist.Instance
 	from  *cells.Cell
-	cost  float64
 	dirty []int
 }
-
-func (m *resizeMove) Kind() string { return m.kind }
 
 func (m *resizeMove) Revert(a *Analysis) error {
 	return a.D.Resize(m.inst, m.from)
 }
 
 func (m *resizeMove) DirtySet() []int { return m.dirty }
-
-func (m *resizeMove) Cost() float64 { return m.cost }
 
 // Upsize is the first-choice repair transform: swap the slowest path gate
 // for its next-stronger drive variant. Candidates are every path gate with
@@ -62,15 +56,15 @@ func (*Upsize) Propose(a *Analysis, fi int, path []int) []Candidate {
 				best = i
 			}
 		}
-		out = append(out, Candidate{Target: cands[best].id, Score: cands[best].delay})
+		out = append(out, Candidate{Target: cands[best].id})
 		cands = append(cands[:best], cands[best+1:]...)
 	}
 	return out
 }
 
 // Apply implements Transform.
-func (t *Upsize) Apply(a *Analysis, c Candidate) (Move, error) {
-	return applyResize(a, c.Target, t.Kind(), true)
+func (*Upsize) Apply(a *Analysis, c Candidate) (Move, error) {
+	return applyResize(a, c.Target, true)
 }
 
 // Accept implements Transform: the target endpoint must improve without
@@ -107,8 +101,8 @@ func (*Downsize) Propose(a *Analysis, fi int, path []int) []Candidate {
 }
 
 // Apply implements Transform.
-func (t *Downsize) Apply(a *Analysis, c Candidate) (Move, error) {
-	return applyResize(a, c.Target, t.Kind(), false)
+func (*Downsize) Apply(a *Analysis, c Candidate) (Move, error) {
+	return applyResize(a, c.Target, false)
 }
 
 // Accept implements Transform: keep when no violating endpoint got worse
@@ -118,7 +112,7 @@ func (*Downsize) Accept(before, after Snapshot) bool {
 }
 
 // applyResize performs the swap shared by Upsize and Downsize.
-func applyResize(a *Analysis, id int, kind string, up bool) (Move, error) {
+func applyResize(a *Analysis, id int, up bool) (Move, error) {
 	inst := a.D.Instances[id]
 	from := inst.Cell
 	var to *cells.Cell
@@ -133,11 +127,5 @@ func applyResize(a *Analysis, id int, kind string, up bool) (Move, error) {
 	if err := a.D.Resize(inst, to); err != nil {
 		return nil, nil // ineligible swap: not a fault, just no move
 	}
-	return &resizeMove{
-		kind:  kind,
-		inst:  inst,
-		from:  from,
-		cost:  to.Area - from.Area,
-		dirty: ModifiedSet(a, id),
-	}, nil
+	return &resizeMove{inst: inst, from: from, dirty: ModifiedSet(a.D, a.G, id)}, nil
 }

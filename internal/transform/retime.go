@@ -189,8 +189,6 @@ type retimeMove struct {
 	dirty []int
 }
 
-func (m *retimeMove) Kind() string { return "retime" }
-
 func (m *retimeMove) Revert(a *Analysis) error {
 	var err error
 	if m.op == OpBackward {
@@ -212,6 +210,3 @@ func (m *retimeMove) Revert(a *Analysis) error {
 // DirtySet implements Move: non-nil — a slide preserves the instance set,
 // so the calibrator absorbs it incrementally after a session rebind.
 func (m *retimeMove) DirtySet() []int { return m.dirty }
-
-// Cost implements Move: a slide swaps no cells, so its area delta is zero.
-func (m *retimeMove) Cost() float64 { return 0 }

@@ -1,11 +1,10 @@
 // Package transform defines the pluggable closure-move framework: the
 // Transform interface every timing-closure move implements, the Move
-// handle an application returns (revert, dirty set, cost), and the
-// Registry the closure scheduler iterates. The four shipped transforms —
-// gate upsizing, buffer insertion, register retiming, and the
-// recovery-pass downsizing — live here as self-contained implementations;
-// the closure package is a generic scheduler over a Registry and carries
-// no move-specific logic.
+// handle an application returns (revert, dirty set), and the Registry the
+// closure flow iterates. The four shipped transforms — gate upsizing,
+// buffer insertion, register retiming, and the recovery-pass downsizing —
+// live here as self-contained implementations; the closure package
+// carries no move-specific logic.
 //
 // The capability contract is the ConnectivityChanging bit plus the Move's
 // DirtySet, and it selects one of two trial protocols:
@@ -41,7 +40,7 @@ import (
 const Eps = 1e-9
 
 // Analysis bundles the live timing view transforms propose against. The
-// scheduler rebuilds it whenever the graph or result changes; transforms
+// flow rebuilds it whenever the graph or result changes; transforms
 // must not retain it across calls.
 type Analysis struct {
 	D *netlist.Design
@@ -60,20 +59,16 @@ type Snapshot struct {
 
 // Candidate is one proposed application site. Target and Aux are
 // transform-defined IDs (an instance, a net, an FF/gate pair); Op
-// discriminates between the transform's move variants; Score records the
-// ordering key Propose ranked it by.
+// discriminates between the transform's move variants.
 type Candidate struct {
 	Target int
 	Aux    int
 	Op     int
-	Score  float64
 }
 
-// Move is one applied transform instance: the handle to revert it, the
-// instances whose timing it touched, and its cost.
+// Move is one applied transform instance: the handle to revert it and the
+// instances whose timing it touched.
 type Move interface {
-	// Kind echoes the owning transform's kind.
-	Kind() string
 	// Revert undoes the application exactly. After a successful revert the
 	// design times bit-identically to its pre-Apply state; an instance or
 	// net the move appended stays behind, dead and unconnected.
@@ -84,8 +79,6 @@ type Move interface {
 	// it rewired or created; the flow widens the set with the instances
 	// whose graph-derived derate inputs moved.
 	DirtySet() []int
-	// Cost is the move's area delta (positive grows the design).
-	Cost() float64
 }
 
 // Transform is one pluggable closure move.
@@ -98,11 +91,11 @@ type Transform interface {
 	ConnectivityChanging() bool
 	// Propose ranks application sites on the worst path into endpoint fi
 	// (a D.FFs position; -1 for recovery-pass calls, where path carries
-	// the single instance under consideration). The scheduler tries
+	// the single instance under consideration). The flow tries
 	// candidates in the returned order until one is accepted.
 	Propose(a *Analysis, fi int, path []int) []Candidate
 	// Apply performs the candidate's edit. (nil, nil) means the candidate
-	// turned out inapplicable — not an error, the scheduler just moves
+	// turned out inapplicable — not an error, the flow just moves
 	// on; a non-nil error aborts the flow.
 	Apply(a *Analysis, c Candidate) (Move, error)
 	// Accept decides whether the applied move is kept, given timing
@@ -156,13 +149,14 @@ func (r *Registry) ByKind(kind string) Transform {
 }
 
 // ModifiedSet returns the instances whose timing must be re-evaluated
-// after instance id changed cell: the instance itself plus the drivers of
-// its input nets (their loads changed).
-func ModifiedSet(a *Analysis, id int) []int {
-	inst := a.D.Instances[id]
+// after instance id of d changed cell: the instance itself plus the
+// non-clock drivers of its input nets (their loads changed). It is the
+// dirty-set seed of every resize, in the closure flow and outside it.
+func ModifiedSet(d *netlist.Design, g *graph.Graph, id int) []int {
+	inst := d.Instances[id]
 	mod := []int{id}
 	for _, nid := range inst.Inputs {
-		if drv := a.D.Nets[nid].Driver; drv >= 0 && !a.G.IsClock(drv) {
+		if drv := d.Nets[nid].Driver; drv >= 0 && !g.IsClock(drv) {
 			mod = append(mod, drv)
 		}
 	}
