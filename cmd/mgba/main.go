@@ -31,7 +31,7 @@ func main() {
 	design := flag.String("design", "toy", "design to calibrate: toy or D1..D10")
 	method := flag.String("method", "scgrs", "solver: gd, scg, scgrs, full")
 	k := flag.Int("k", 20, "k': worst paths selected per endpoint")
-	viewpair := flag.String("viewpair", "", "view pair to calibrate: gba-pba (default) or preroute (cross-stage: pre-route analysis corrected against a deterministically routed twin; implies strict Eq. (5) enforcement)")
+	viewpair := flag.String("viewpair", "", "view pair to calibrate: gba-pba (default) or preroute (cross-stage: pre-route analysis corrected against a deterministically routed twin)")
 	corners := flag.String("corners", "", "multi-corner set, name[:derate-scale[:uncertainty-ps]],... e.g. typ,slow:1.15:10; paths are enumerated once on the first corner and every corner is fitted (empty: single-corner)")
 	jointfit := flag.Bool("jointfit", false, "solve all corners as one stacked system sharing the sparsity pattern instead of independent per-corner fits")
 	seed := flag.Uint64("seed", 0, "override the design seed (0 keeps the preset)")

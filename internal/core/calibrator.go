@@ -104,16 +104,6 @@ func newBoundCalibrator(s *engine.Session, cfg sta.Config, opt Options, oneShot 
 	if err != nil {
 		return nil, err
 	}
-	if sp, ok := vp.(strictPair); ok && sp.StrictSafety() {
-		// A cross-stage pair cannot uphold Eq. (5) with the soft penalty
-		// alone; force the exact enforcement the pair declares it needs.
-		opt.StrictSafety = true
-	}
-	if len(opt.Corners) > 1 {
-		// With several corners the soft penalty cannot vouch for all of
-		// them; force the exact Eq. (5) enforcement on every fit.
-		opt.StrictSafety = true
-	}
 	specs := opt.Corners
 	if len(specs) == 0 {
 		// The identity spec: its config is cfg itself, so an N=1 set with
@@ -438,7 +428,7 @@ func (c *Calibrator) cold(ctx context.Context, sel *pathsel.Selection, why coldR
 // newModel starts a model of the current design state on corner cs,
 // seeded with the corner's warm start.
 func (c *Calibrator) newModel(cs *cornerState) *Model {
-	m := &Model{G: c.sess.G, Session: c.sess, Cfg: cs.cfg, Opt: c.opt, Pair: c.pair.Name(), SafetyScale: 1}
+	m := &Model{G: c.sess.G, Session: c.sess, Cfg: cs.cfg, Opt: c.opt, Pair: c.pair.Name()}
 	m.Opt.WarmWeights = cs.warm
 	m.Weights = identity(len(m.G.D.Instances))
 	return m
@@ -514,8 +504,8 @@ func (c *Calibrator) degenerate(m *Model) *Model {
 			// may Release it.
 			m.Corners[i+1] = &CornerFit{
 				Spec: cs.spec, Cfg: cs.cfg,
-				Weights: identity(len(m.G.D.Instances)), SafetyScale: 1,
-				MGBA: cs.gba,
+				Weights: identity(len(m.G.D.Instances)),
+				MGBA:    cs.gba,
 			}
 			cs.gba = nil
 		}

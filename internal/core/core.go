@@ -13,16 +13,17 @@
 //	-> golden retiming of the selected paths (fit targets)
 //	-> assemble the sparse system of Eq. (9) in correction space
 //	-> solve with GD / SCG / SCG+RS (§3.3) -> per-gate weights w = 1 + dx
-//	-> re-run the cheap analysis with weighted delays.
+//	-> project onto Eq. (5) -> re-run the cheap analysis with weighted delays.
 //
 // The fitted path slack never exceeds the golden slack by more than the
-// epsilon tolerance of Eq. (5), enforced through the quadratic penalty of
-// Eq. (6).
+// epsilon tolerance of Eq. (5) on a training path: the quadratic penalty
+// of Eq. (6) steers the fit, and a per-row projection after every fit
+// lifts whatever rows it left short.
 //
 // The pipeline lives in one file per stage: viewpair.go (the pair
 // interfaces and registry), assembly.go (eqSystem, the one builder of
-// Eq. (9) systems, and the row decomposition), fit.go (the solve and its
-// degradation ladder), signoff.go (slack evaluation and the paper's
+// Eq. (9) systems, and the row decomposition), fit.go (the solve, its
+// degradation ladder and the Eq. (5) projection), signoff.go (slack evaluation and the paper's
 // accuracy metrics), calibrator.go (the one cold enumerate-retime-row
 // loop, streamed or materialized, the incremental Recalibrate and the fit
 // tail both share), corners.go and mcmm.go (the corner set and the
@@ -114,10 +115,10 @@ type Options struct {
 	// corner's derates and uncertainty to the analysis config and is
 	// otherwise bit-identical to the plain calibrator). With N >= 2
 	// corners, Corners[0] is the selection corner: its enumeration feeds
-	// every corner's Eq. (9) system, StrictSafety is forced on (the
-	// never-optimistic guard must hold per corner by construction), and
-	// the model grows per-corner fits plus a merged worst-corner slack
-	// view.
+	// every corner's Eq. (9) system, every corner's fit is projected onto
+	// its own Eq. (5) rows (so no corner is optimistic on the training
+	// selection), and the model grows per-corner fits plus a merged
+	// worst-corner slack view.
 	Corners []CornerSpec
 
 	// JointFit solves the N per-corner systems as one stacked fit sharing
@@ -125,20 +126,6 @@ type Options struct {
 	// guard constrains — instead of N independent per-corner fits. Only
 	// meaningful with >= 2 corners.
 	JointFit bool
-
-	// StrictSafety enforces Eq. (5) exactly on the training selection by
-	// scaling the fitted correction back until no selected path is
-	// optimistic beyond the epsilon guard. The paper's soft penalty
-	// tolerates a small optimistic tail in exchange for fit quality, so
-	// this is off by default; degraded and cancelled (partial) fits are
-	// always scaled back regardless, because a fit of unknown quality must
-	// never be allowed to go optimistic.
-	StrictSafety bool
-
-	// NoFallback disables the degradation ladder: a numerically unhealthy
-	// solve returns an error instead of retrying with a safer method.
-	// Exists for experiments that measure a single solver in isolation.
-	NoFallback bool
 }
 
 // DefaultOptions returns the paper's calibration parameters.
@@ -178,8 +165,8 @@ type Model struct {
 
 	Problem    *solver.Problem // Eq. (9) system in correction space
 	Columns    []int           // column -> instance ID
-	Correction []float64       // solved dx per column
-	Weights    []float64       // per instance ID: 1 + dx (1 off-path)
+	Correction []float64       // solved dx per column, before clamp and Eq. (5) projection
+	Weights    []float64       // per instance ID: 1 + dx, clamped and projected (1 off-path)
 	Stats      solver.Stats
 
 	MGBA *sta.Result // re-analysis with the fitted weights
@@ -205,10 +192,6 @@ type Model struct {
 	// Fault describes why calibration fell back to identity weights; ""
 	// when a fit was accepted.
 	Fault string
-	// SafetyScale is the factor the Eq. (5) scale-back applied to the
-	// correction: 1 means the raw fit was already safe (or strict safety
-	// was not required), 0 means identity weights.
-	SafetyScale float64
 	// Attempts records every solver run of the degradation ladder, in
 	// order, including rejected ones.
 	Attempts []Attempt
@@ -318,7 +301,6 @@ func (m *Model) abandon(why string) *Model {
 	m.Partial = true
 	m.Degraded = true
 	m.Fault = why
-	m.SafetyScale = 0
 	return m
 }
 

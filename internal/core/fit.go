@@ -89,9 +89,10 @@ func (m *Model) clampedDx(x []float64) []float64 {
 
 // solve runs the degradation ladder: try the requested method, reject
 // numerically unhealthy results, retry with the next-safer method, and on
-// total failure keep identity weights (x = 0) — never an error, because
-// identity weights reproduce the plain cheap analysis, which is
-// pessimism-safe whenever the cheap view is conservative.
+// total failure start from identity weights (x = 0) — never an error,
+// because identity weights reproduce the plain cheap analysis. Whatever
+// the outcome, the weights are then projected onto Eq. (5), so no
+// training path is left optimistic beyond its epsilon guard.
 func (m *Model) solve(ctx context.Context) error {
 	if m.Opt.Method < MethodGD || m.Opt.Method > MethodFull {
 		return fmt.Errorf("core: unknown method %v", m.Opt.Method)
@@ -113,9 +114,6 @@ func (m *Model) solve(ctx context.Context) error {
 		if err == nil {
 			att.Rejected = m.healthCheck(x, st, identityF)
 		} else {
-			if m.Opt.NoFallback {
-				return err
-			}
 			att.Rejected = err.Error()
 		}
 		m.Attempts = append(m.Attempts, att)
@@ -133,13 +131,8 @@ func (m *Model) solve(ctx context.Context) error {
 			m.Degraded = rung > 0
 			m.Partial = st.Reason == solver.StopCancelled
 			m.applyWeights(m.Correction)
-			if m.Opt.StrictSafety || m.Degraded || m.Partial {
-				m.enforceSafety()
-			}
+			m.project()
 			return nil
-		}
-		if m.Opt.NoFallback {
-			return fmt.Errorf("core: %v solve rejected: %s", meth, att.Rejected)
 		}
 		if err == nil && st.Reason == solver.StopCancelled {
 			// Cancelled *and* unhealthy: no budget left to retry safer
@@ -147,17 +140,18 @@ func (m *Model) solve(ctx context.Context) error {
 			break
 		}
 	}
-	// Total failure: identity weights (mGBA == cheap on every path).
+	// Total failure: identity weights (mGBA == cheap on every path), lifted
+	// wherever the cheap view itself is optimistic.
 	obsCalibDegraded.Inc()
 	m.Correction = make([]float64, len(m.Columns))
 	m.Weights = identity(len(m.G.D.Instances))
 	m.Stats = solver.Stats{}
 	m.Degraded = true
-	m.SafetyScale = 0
-	m.Fault = "all solver attempts rejected; using identity weights"
+	m.Fault = "all solver attempts rejected; using identity weights projected onto Eq. (5)"
 	if cancelled(ctx) {
 		m.Partial = true
 	}
+	m.project()
 	return nil
 }
 
@@ -176,66 +170,28 @@ func (m *Model) applyWeights(x []float64) {
 	}
 }
 
-// enforceSafety projects the fitted correction back inside the Eq. (5)
-// feasible region on the training selection. The modelled delay shift of
-// row i is (A dx)_i and its floor is B_i - Guard_i. When the cheap view
-// is conservative on a path (the default pair always is: GBA never
-// under-times a path PBA would lengthen), both are non-positive — the
-// target shift is a delay *reduction* — and scaling dx by t in [0,1]
-// moves the row's shift linearly between 0 (identity, feasible) and its
-// fitted value, so the largest safe t is the minimum over violating rows
-// of floor_i / (A dx)_i — one linear pass, no re-solve. A cross-stage
-// pair can put a path's floor above zero (the cheap view was optimistic:
-// the routed wires got longer); no scale-back toward identity can lift
-// such a row, so after scaling, liftOptimism pushes the correction *up*
-// on whatever positive-floor rows the fit left short.
-func (m *Model) enforceSafety() {
-	dx := m.clampedCorrection()
-	ax := m.Problem.A.MulVec(nil, dx)
-	t := 1.0
-	for i, axi := range ax {
-		floor := m.Problem.B[i] - m.Problem.GuardAt(i)
-		if floor <= 0 && axi < floor-1e-12 && axi < 0 {
-			if ti := floor / axi; ti < t {
-				t = ti
-			}
-		}
-	}
-	if t < 0 {
-		t = 0
-	}
-	if t < 1 {
-		for k := range dx {
-			dx[k] *= t
-		}
-		m.applyWeights(dx)
-	}
-	m.SafetyScale = t
-	m.liftOptimism(dx)
-}
-
-// liftOptimism is the scale-back's dual, for rows whose Eq. (5) floor is
-// positive — paths where the *cheap* view is optimistic against golden,
-// which only a cross-stage pair produces. A row short of its floor gets
-// its deficit distributed over its columns as the minimum-norm update
-// (delta_j proportional to a_ij), which raises the row's modelled delay
-// to exactly the floor. Entries a_ij are non-negative delays, so a lift
-// only ever adds pessimism to other rows — it can repair but never
-// create a violation — and every pass shrinks the total deficit
-// monotonically; iteration stops at feasibility, at the MaxWeight clamp
-// (a saturated column caps how much delay a gate can absorb), or at the
-// pass cap. Floors at or below zero never lift, so default-pair fits are
-// untouched bit-for-bit.
-func (m *Model) liftOptimism(dx []float64) {
+// project enforces Eq. (5) exactly on the training selection. Row i's
+// modelled delay shift under the applied weights is (A dx)_i and its
+// floor is B_i - Guard_i; a row short of its floor is a path the model
+// leaves optimistic beyond the epsilon guard. Each short row is projected
+// onto its half-space by the minimum-norm update (delta_j proportional to
+// a_ij), which raises the row's modelled delay to exactly the floor, so a
+// bad row costs only its own columns, never the rest of the fit. Entries
+// a_ij are non-negative delays, so a lift only ever adds pessimism to
+// other rows — it can repair but never create a violation — and every
+// pass shrinks the total deficit monotonically; sweeps stop at
+// feasibility, at the MaxWeight clamp (a saturated column caps how much
+// delay a gate can absorb), or at the pass cap. The projected rows are
+// counted under core.safety.rows_projected.
+func (m *Model) project() {
 	const passes = 64
-	lifted := false
+	dx := m.clampedCorrection()
+	var lifted []bool // rows lifted at least once
+	projected := 0
 	for pass := 0; pass < passes; pass++ {
 		progressed := false
 		for i := 0; i < m.Problem.A.Rows(); i++ {
 			floor := m.Problem.B[i] - m.Problem.GuardAt(i)
-			if floor <= 0 {
-				continue
-			}
 			// Live dot product: lifts applied earlier in this pass already
 			// count, so rows sharing columns never stack the same deficit.
 			axi := m.Problem.A.RowDot(i, dx)
@@ -251,6 +207,7 @@ func (m *Model) liftOptimism(dx []float64) {
 				continue
 			}
 			scale := (floor - axi) / norm2
+			moved := false
 			for k, j := range idx {
 				nd := dx[j] + scale*val[k]
 				if max := m.Opt.MaxWeight - 1; nd > max {
@@ -258,16 +215,28 @@ func (m *Model) liftOptimism(dx []float64) {
 				}
 				if nd > dx[j] {
 					dx[j] = nd
-					progressed = true
-					lifted = true
+					moved = true
 				}
+			}
+			if !moved {
+				continue
+			}
+			progressed = true
+			if lifted == nil {
+				lifted = make([]bool, m.Problem.A.Rows())
+			}
+			if !lifted[i] {
+				lifted[i] = true
+				projected++
 			}
 		}
 		if !progressed {
 			break
 		}
 	}
-	if lifted {
+	if projected > 0 {
 		m.applyWeights(dx)
+		obsRowsProjected.Add(int64(projected))
+		obs.Event("safety_projection", "rows", projected)
 	}
 }

@@ -26,8 +26,9 @@ import (
 // cold calibration and an incremental recalibration after a sizing batch.
 // It was generated before the view-pair refactor and guards it: the
 // default GBA<->PBA pair must stay bit-identical to the historical
-// hard-wired pipeline. Regenerate with -update-golden only for a
-// deliberate behavior change.
+// hard-wired pipeline. It was regenerated once when every fit began to be
+// projected onto Eq. (5), which lifts D3's four optimistic rows.
+// Regenerate with -update-golden only for a deliberate behavior change.
 var updateCalibGolden = flag.Bool("update-golden", false, "rewrite the calibration golden file")
 
 const calibGoldenPath = "testdata/calib_golden.json"

@@ -14,10 +14,10 @@ import (
 // re-times the same selected paths under its own derate tables and clock
 // uncertainty (per-corner golden targets and guards), and the fits are
 // solved either independently per corner or as one stacked joint system
-// sharing the sparsity pattern (Options.JointFit). StrictSafety is forced
-// in multi-corner mode, so no fitted corner is ever optimistic past its
-// Eq. (5) guard. The enumeration — the dominant cost the framework exists
-// to amortize — runs exactly once.
+// sharing the sparsity pattern (Options.JointFit). Every fit is projected
+// onto its Eq. (5) rows, so no fitted corner is ever optimistic past its
+// guard on the training selection. The enumeration — the dominant cost
+// the framework exists to amortize — runs exactly once.
 
 // CornerFit is the per-corner outcome of a multi-corner calibration.
 // Corners[0] of a Model mirrors the model's own selection-corner fit; the
@@ -26,13 +26,12 @@ type CornerFit struct {
 	Spec CornerSpec
 	Cfg  sta.Config // the corner's analysis config (Weights == nil)
 
-	Weights     []float64 // per instance ID: 1 + dx (shared across corners under JointFit)
-	Correction  []float64 // solved dx per column (Model.Columns order)
-	Stats       solver.Stats
-	Degraded    bool
-	Partial     bool
-	Fault       string
-	SafetyScale float64
+	Weights    []float64 // per instance ID: 1 + dx (shared across corners under JointFit)
+	Correction []float64 // solved dx per column (Model.Columns order)
+	Stats      solver.Stats
+	Degraded   bool
+	Partial    bool
+	Fault      string
 
 	// Problem is the corner's Eq. (9) system over the shared selection
 	// (shared column order with Model.Columns). GoldenSlack, CheapSlack
@@ -126,16 +125,15 @@ func fitOf(cs *cornerState, m *Model, prob *solver.Problem) *CornerFit {
 		Spec: cs.spec, Cfg: cs.cfg,
 		Weights: m.Weights, Correction: m.Correction,
 		Stats: m.Stats, Degraded: m.Degraded, Partial: m.Partial,
-		Fault: m.Fault, SafetyScale: m.SafetyScale,
-		Problem: prob,
+		Fault: m.Fault, Problem: prob,
 	}
 }
 
 // jointFit stacks the selection corner's system and every extra corner's
 // system corner-major into one tall problem over the shared columns,
 // solves it once, and adopts the result as the model's own fit. Every
-// corner's Eq. (5) guard rows sit in the stacked system, so the forced
-// strict enforcement covers all corners with one scale-back/lift pass.
+// corner's Eq. (5) guard rows sit in the stacked system, so one
+// projection covers all corners.
 func (c *Calibrator) jointFit(ctx context.Context, m *Model, extras []*eqSystem) error {
 	rows := m.Problem.A.Rows()
 	for _, sys := range extras {
@@ -159,7 +157,7 @@ func (c *Calibrator) jointFit(ctx context.Context, m *Model, extras []*eqSystem)
 		return err
 	}
 	m.Correction, m.Weights, m.Stats = jm.Correction, jm.Weights, jm.Stats
-	m.Degraded, m.Partial, m.Fault, m.SafetyScale = jm.Degraded, jm.Partial, jm.Fault, jm.SafetyScale
+	m.Degraded, m.Partial, m.Fault = jm.Degraded, jm.Partial, jm.Fault
 	m.Attempts = append(m.Attempts, jm.Attempts...)
 	return nil
 }

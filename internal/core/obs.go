@@ -2,8 +2,8 @@ package core
 
 import "mgba/internal/obs"
 
-// Calibration metrics: pipeline outcomes, warm-start reuse, and the
-// solver degradation ladder. Phase timings live in the span histograms
+// Calibration metrics: pipeline outcomes, warm-start reuse, the solver
+// degradation ladder, and the rows the Eq. (5) projection lifted. Phase timings live in the span histograms
 // (span.calibrate.cold.*, span.calibrate.recalibrate.*) emitted by the
 // Calibrator. Observation-only per the obs inertness contract.
 var (
@@ -16,6 +16,7 @@ var (
 	obsLadderAttempts   = obs.NewCounter("core.ladder.attempts")
 	obsLadderRejected   = obs.NewCounter("core.ladder.rejected")
 	obsEndpointsReenum  = obs.NewCounter("core.endpoints.reenumerated")
+	obsRowsProjected    = obs.NewCounter("core.safety.rows_projected")
 )
 
 // coldReason names why a calibration ran the full cold pipeline. Every

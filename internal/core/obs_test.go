@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -83,5 +84,45 @@ func TestObsOnOffCalibrationBitIdentical(t *testing.T) {
 				t.Fatalf("degradation differs: %v vs %v", on.Degraded, off.Degraded)
 			}
 		})
+	}
+}
+
+// TestSafetyProjectionObserved: the default D3 fit leaves rows short of
+// their Eq. (5) floor, so the projection must lift at least one and report
+// it through core.safety.rows_projected and a safety_projection event
+// carrying the same count.
+func TestSafetyProjectionObserved(t *testing.T) {
+	g := suiteGraph(t, gen.Suite()[2]) // D3
+	prev := obs.Enabled()
+	defer obs.Enable(prev)
+	obs.Enable(true)
+	var sink bytes.Buffer
+	obs.SetSink(&sink)
+	defer obs.SetSink(nil)
+	projected := obs.NewCounter("core.safety.rows_projected")
+	before := projected.Value()
+	if _, err := core.Calibrate(context.Background(), g, sta.DefaultConfig(), core.DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	rows := projected.Value() - before
+	if rows < 1 {
+		t.Fatalf("default D3 fit projected %d rows, want at least 1", rows)
+	}
+	var evRows int64
+	dec := json.NewDecoder(&sink)
+	for dec.More() {
+		var ev struct {
+			Kind   string
+			Fields map[string]any
+		}
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Kind == "safety_projection" {
+			evRows += int64(ev.Fields["rows"].(float64))
+		}
+	}
+	if evRows != rows {
+		t.Fatalf("safety_projection events carry %d rows, counter moved by %d", evRows, rows)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mgba/internal/core"
+	"mgba/internal/gen"
 	"mgba/internal/pba"
 	"mgba/internal/sta"
 )
@@ -83,5 +84,61 @@ func TestPathSlackLinearInWeights(t *testing.T) {
 	want := p0.GBASlack + 0.2*r.CellDelay[target]
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("slack shift %v, want %v", got, want)
+	}
+}
+
+// TestHeldOutOptimismBounded scores the fit on paths it never saw: the
+// paths ranked k'+1 .. k'+10 at every selected endpoint, judged through
+// PathSlackWithWeights against their golden retimes. The Eq. (5)
+// projection only constrains the training rows, so held-out paths may
+// still come out optimistic; the measured counts are pinned as upper
+// bounds so a change that widens the held-out tail is caught.
+func TestHeldOutOptimismBounded(t *testing.T) {
+	const ranks = 10
+	for _, tc := range []struct {
+		design int // index into gen.Suite
+		max    int // measured optimistic held-out paths
+	}{
+		{2, 0},
+		{9, 87},
+	} {
+		cfg := gen.Suite()[tc.design]
+		t.Run(cfg.Name, func(t *testing.T) {
+			g := suiteGraph(t, cfg)
+			m, err := core.Calibrate(context.Background(), g, sta.DefaultConfig(), core.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			an := pba.NewAnalyzer(m.GBA)
+			seen := map[int]bool{}
+			zero := 0.0
+			n, opt := 0, 0
+			for _, p := range m.Selection.Paths {
+				fi := g.FFIndex(p.Capture)
+				if seen[fi] {
+					continue
+				}
+				seen[fi] = true
+				ps := an.KWorst(fi, m.Opt.K+ranks, &zero)
+				if len(ps) <= m.Opt.K {
+					continue
+				}
+				for _, hp := range ps[m.Opt.K:] {
+					n++
+					golden := an.Retime(hp).Slack
+					s := core.PathSlackWithWeights(m.GBA, an, hp, m.Weights)
+					if s > golden+m.Opt.Epsilon*math.Abs(golden)+1e-9 {
+						opt++
+					}
+				}
+			}
+			t.Logf("%s: %d of %d held-out paths optimistic", cfg.Name, opt, n)
+			if n == 0 {
+				t.Fatal("no held-out paths past k'")
+			}
+			if opt > tc.max {
+				t.Fatalf("%d held-out paths optimistic, bound %d", opt, tc.max)
+			}
+		})
 	}
 }

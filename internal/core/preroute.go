@@ -26,15 +26,11 @@ const PreroutePair = "preroute"
 // the data path, where the fitted per-gate corrections can absorb it.
 // Unlike the default pair, the cheap view here can be *optimistic* on a
 // path (routed wires mostly get longer), so fitted weights above one are
-// the common case and Eq. (5) safety rides entirely on the one-sided
-// penalty of Eq. (6).
+// the common case; even the identity fallback is lifted by the Eq. (5)
+// projection on those paths.
 type preroutePair struct{}
 
 func (preroutePair) Name() string { return PreroutePair }
-
-// StrictSafety marks the pair cross-stage: its cheap view can be
-// optimistic, so selecting it forces exact Eq. (5) enforcement.
-func (preroutePair) StrictSafety() bool { return true }
 
 func (preroutePair) Bind(s *engine.Session, cfg sta.Config, opt Options) (CheapView, GoldenProvider, error) {
 	return &sessionView{sess: s, cfg: cfg},

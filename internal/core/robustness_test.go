@@ -3,13 +3,16 @@ package core_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"mgba/internal/core"
 	"mgba/internal/engine"
 	"mgba/internal/faultinject"
+	"mgba/internal/gen"
 	"mgba/internal/solver"
+	"mgba/internal/sta"
 )
 
 // allOnes reports whether every weight is exactly the identity.
@@ -23,8 +26,10 @@ func allOnes(w []float64) bool {
 }
 
 // TestLadderFallsToIdentityOnPersistentNaN: when every solver rung sees
-// NaN gradients, calibration must land on identity weights (mGBA == GBA),
-// record the fault, and never error or panic.
+// NaN gradients, calibration must land on identity weights (mGBA == GBA:
+// the default pair's cheap view is conservative, so the Eq. (5)
+// projection has nothing to lift), record the fault, and never error or
+// panic.
 func TestLadderFallsToIdentityOnPersistentNaN(t *testing.T) {
 	g, cfg := smallDesign(t)
 	faultinject.SetSlice(faultinject.SolverGradient, func(v []float64) {
@@ -42,9 +47,6 @@ func TestLadderFallsToIdentityOnPersistentNaN(t *testing.T) {
 	}
 	if m.Fault == "" {
 		t.Fatal("identity fallback did not record a fault")
-	}
-	if m.SafetyScale != 0 {
-		t.Fatalf("identity fallback SafetyScale = %v, want 0", m.SafetyScale)
 	}
 	if !allOnes(m.Weights) {
 		t.Fatal("fallback weights are not identity")
@@ -104,10 +106,97 @@ func TestLadderFallsOneRung(t *testing.T) {
 	}
 }
 
-// TestNoFallbackSurfacesError: with the ladder disabled, an unhealthy
-// solve must surface as an error instead of degrading.
-func TestNoFallbackSurfacesError(t *testing.T) {
-	g, cfg := smallDesign(t)
+// TestEq5NoOptimism: under default options every fit — cold on the
+// suite designs, incremental after a sizing batch, and every corner of an
+// independent or joint multi-corner fit — leaves zero training paths
+// optimistic beyond the Eq. (5) epsilon guard.
+func TestEq5NoOptimism(t *testing.T) {
+	ctx := context.Background()
+	suite := gen.Suite()
+	type tcase struct {
+		name  string
+		model func(t *testing.T) *core.Model
+	}
+	var cases []tcase
+	for _, cfg := range suite {
+		cases = append(cases, tcase{cfg.Name + "/cold", func(t *testing.T) *core.Model {
+			g := suiteGraph(t, cfg)
+			m, err := core.Calibrate(ctx, g, sta.DefaultConfig(), core.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}})
+	}
+	cases = append(cases, tcase{"D3/incremental", func(t *testing.T) *core.Model {
+		g := suiteGraph(t, suite[2])
+		cal, err := core.NewCalibrator(engine.NewSession(g), sta.DefaultConfig(), core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := cal.Calibrate(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mr, err := cal.Recalibrate(ctx, upsizeSelected(t, g.D, g, m, 25))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := cal.Stats(); st.Incremental != 1 {
+			t.Fatalf("recalibration ran cold: %+v", st)
+		}
+		return mr
+	}})
+	for _, joint := range []bool{false, true} {
+		cases = append(cases, tcase{fmt.Sprintf("D10/corners/joint=%v", joint), func(t *testing.T) *core.Model {
+			set, err := core.ParseCorners("typ,slow:1.15:10")
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := core.DefaultOptions()
+			opt.Corners, opt.JointFit = set, joint
+			m, err := core.Calibrate(ctx, suiteGraph(t, suite[9]), sta.DefaultConfig(), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(m.Corners) != len(set) {
+				t.Fatalf("got %d corner fits, want %d", len(m.Corners), len(set))
+			}
+			return m
+		}})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tc.model(t)
+			met, err := m.Evaluate("mgba")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if met.Paths == 0 {
+				t.Fatal("fit covers no paths")
+			}
+			if met.Optimism != 0 {
+				t.Errorf("%d of %d paths optimistic past the Eq. (5) guard", met.Optimism, met.Paths)
+			}
+			for _, cf := range m.Corners {
+				cm, err := cf.Evaluate("mgba", m.Opt.Epsilon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cm.Optimism != 0 {
+					t.Errorf("corner %s: %d of %d paths optimistic", cf.Spec.Name, cm.Optimism, cm.Paths)
+				}
+			}
+		})
+	}
+}
+
+// TestPrerouteIdentityFallbackNotOptimistic: the cross-stage pair's cheap
+// view is optimistic on many paths, so when every solver rung is rejected
+// the identity fallback itself must be projected onto Eq. (5) — plain
+// identity weights would leave those paths optimistic.
+func TestPrerouteIdentityFallbackNotOptimistic(t *testing.T) {
+	_, _, sess := calDesign(t)
 	faultinject.SetSlice(faultinject.SolverGradient, func(v []float64) {
 		for i := range v {
 			v[i] = math.NaN()
@@ -115,38 +204,36 @@ func TestNoFallbackSurfacesError(t *testing.T) {
 	})
 	defer faultinject.Reset()
 	opt := core.DefaultOptions()
-	opt.NoFallback = true
-	if _, err := core.Calibrate(context.Background(), g, cfg, opt); err == nil {
-		t.Fatal("NoFallback swallowed an unhealthy solve")
-	}
-}
-
-// TestStrictSafetyNoOptimism: strict mode must leave zero paths optimistic
-// beyond the Eq. (5) epsilon guard on the training selection.
-func TestStrictSafetyNoOptimism(t *testing.T) {
-	g, cfg := smallDesign(t)
-	opt := core.DefaultOptions()
-	opt.StrictSafety = true
-	m, err := core.Calibrate(context.Background(), g, cfg, opt)
+	opt.ViewPair = core.PreroutePair
+	m, err := core.CalibrateWithSession(context.Background(), sess, sta.DefaultConfig(), opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !m.Degraded || m.Fault == "" {
+		t.Fatalf("poisoned calibration did not fall back: degraded=%v fault=%q", m.Degraded, m.Fault)
+	}
+	cheap, err := m.Evaluate("cheap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cheap.Optimism == 0 {
+		t.Fatal("pre-route view optimistic on no path; the fallback case is vacuous")
 	}
 	met, err := m.Evaluate("mgba")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if met.Optimism != 0 {
-		t.Fatalf("strict safety left %d optimistic paths", met.Optimism)
+		t.Fatalf("identity fallback left %d of %d paths optimistic", met.Optimism, met.Paths)
 	}
-	if m.SafetyScale <= 0 || m.SafetyScale > 1 {
-		t.Fatalf("SafetyScale = %v outside (0, 1]", m.SafetyScale)
+	if allOnes(m.Weights) {
+		t.Fatal("fallback weights were not lifted")
 	}
 }
 
 // TestDivergentStepsStaySafe: steps amplified 1e12x must either be
-// rejected down the ladder or survive with the scale-back applied — in
-// every case the final model obeys Eq. (5) on the selection (degraded fits
-// are always scaled back).
+// rejected down the ladder or survive with the Eq. (5) projection applied
+// — in every case the final model obeys Eq. (5) on the selection.
 func TestDivergentStepsStaySafe(t *testing.T) {
 	g, cfg := smallDesign(t)
 	faultinject.SetFloat(faultinject.SolverStep, func(v float64) float64 { return v * 1e12 })
@@ -206,7 +293,7 @@ func TestCalibrateCancelledContext(t *testing.T) {
 }
 
 // TestCancelledMidSolveScalesBack: cancelling during the solver run must
-// accept the partial iterate only with the Eq. (5) scale-back applied.
+// accept the partial iterate only with the Eq. (5) projection applied.
 func TestCancelledMidSolveScalesBack(t *testing.T) {
 	g, cfg := smallDesign(t)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -66,16 +66,6 @@ type ViewPair interface {
 	Bind(s *engine.Session, cfg sta.Config, opt Options) (CheapView, GoldenProvider, error)
 }
 
-// strictPair is implemented by pairs whose cheap view can be optimistic
-// against golden — cross-stage pairs, where the golden stage may lengthen
-// a path the cheap stage under-times. Selecting such a pair forces
-// Options.StrictSafety on: scale-back toward identity cannot repair an
-// optimistic row, so the never-optimistic contract needs the exact
-// Eq. (5) lift, not just the soft penalty.
-type strictPair interface {
-	StrictSafety() bool
-}
-
 // DefaultViewPair is the paper's GBA-corrected-against-PBA pairing, used
 // whenever Options.ViewPair is empty.
 const DefaultViewPair = "gba-pba"

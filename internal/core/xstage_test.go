@@ -19,9 +19,6 @@ import (
 func prerouteOptions() core.Options {
 	opt := core.DefaultOptions()
 	opt.ViewPair = core.PreroutePair
-	// StrictSafety is deliberately NOT set: a cross-stage pair declares it
-	// needs exact Eq. (5) enforcement and the calibrator forces it on —
-	// the never-optimistic assertions below cover that forcing.
 	return opt
 }
 
@@ -53,7 +50,7 @@ func TestPrerouteCalibrateFitsRoutedGolden(t *testing.T) {
 	}
 	// The routed twin lengthens most wires, so the uncorrected pre-route
 	// view is optimistic on a healthy fraction of paths — the gap the fit
-	// must close from below, which scale-back toward identity never could.
+	// must close from below: even identity weights are optimistic here.
 	if gba.Optimism == 0 {
 		t.Fatal("routed perturbation produced no optimistic pre-route paths; the cross-stage case is vacuous")
 	}

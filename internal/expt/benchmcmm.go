@@ -100,9 +100,6 @@ func BenchMCMM(e *Env) (*report.Table, *MCMMBench, error) {
 		sharedSess := engine.NewSession(g)
 		sharedOpt := core.DefaultOptions()
 		sharedOpt.Corners = set
-		// Forced on at N >= 2 anyway; pinning it here keeps the N=1 row and
-		// the independent arm fitting the same (never-optimistic) way.
-		sharedOpt.StrictSafety = true
 		sharedCal, err := core.NewCalibrator(sharedSess, sta.DefaultConfig(), sharedOpt)
 		if err != nil {
 			return nil, nil, err
@@ -131,7 +128,6 @@ func BenchMCMM(e *Env) (*report.Table, *MCMMBench, error) {
 		for i, spec := range set {
 			opt := core.DefaultOptions()
 			opt.Corners = []core.CornerSpec{spec}
-			opt.StrictSafety = true
 			sess := engine.NewSession(g)
 			if cals[i], err = core.NewCalibrator(sess, sta.DefaultConfig(), opt); err != nil {
 				return nil, nil, err

@@ -43,10 +43,10 @@ type XStageBench struct {
 
 // BenchXStage times a cold calibration of the D3 stand-in under each
 // registered view pair and reports pass ratio, MSE and residual optimism
-// of the cheap and fitted views against that pair's golden slacks. On the
-// preroute pair the fit must end with zero optimism — the strict Eq. (5)
-// lift the pair forces — which this artifact makes a tracked number
-// rather than a one-time test assertion.
+// of the cheap and fitted views against that pair's golden slacks. Every
+// pair's fit must end with zero optimism — the Eq. (5) projection runs
+// on every fit — which this artifact makes a tracked number rather than a
+// one-time test assertion.
 func BenchXStage(e *Env) (*report.Table, *XStageBench, error) {
 	cfg := gen.Suite()[2] // D3
 	if e.Quick {
@@ -123,7 +123,7 @@ func BenchXStage(e *Env) (*report.Table, *XStageBench, error) {
 			fmt.Sprintf("%d", p.CheapOptimism), fmt.Sprintf("%d", p.MGBAOptimism))
 	}
 	t.AddNote("mse in 1e-3; optimism counts paths whose model slack beats golden beyond the eps guard")
-	t.AddNote("the preroute pair fits against a deterministically routed twin and must end with zero mgba optimism")
+	t.AddNote("the preroute pair fits against a deterministically routed twin; every pair must end with zero mgba optimism")
 	res.Mem = CaptureMem()
 	return t, res, nil
 }

@@ -139,6 +139,9 @@ func TestTable3NoRegression(t *testing.T) {
 		if r.MGBAPass-r.GBAPass < 0.10 {
 			t.Fatalf("%s: improvement only %.2f pts", r.Design, (r.MGBAPass-r.GBAPass)*100)
 		}
+		if r.MGBAOpt != 0 {
+			t.Fatalf("%s: mGBA optimistic on %d paths past the Eq. (5) guard", r.Design, r.MGBAOpt)
+		}
 	}
 }
 

@@ -312,7 +312,7 @@ func TestDeadlineExceededDegradesNeverDrops(t *testing.T) {
 		t.Fatalf("1ms deadline produced a full fit? %+v", br.Status)
 	}
 	// The degraded result is still a complete, usable answer (core's
-	// scale-back guarantees it is never optimistic; pinned there).
+	// Eq. (5) projection guarantees it is never optimistic; pinned there).
 	after := getSlacks(t, ts.URL, "dl")
 	if len(after.Weights) != len(d.Instances) {
 		t.Fatalf("degraded weights length %d, want %d", len(after.Weights), len(d.Instances))
